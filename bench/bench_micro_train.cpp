@@ -41,8 +41,9 @@ std::string fit_once(const hpcp::ExtrapolationProblem& problem,
   TwoLevelModel model{hpcp::TwoLevelOptions{}};
   Rng rng(42);
   model.fit_checked(problem, rng, {.threads = threads}).value_or_throw();
-  std::ostringstream archive;
-  model.save(archive);
+  std::ostringstream archive(std::ios::binary);
+  hpcp::Serializer s(archive);
+  model.save(s);
   return archive.str();
 }
 

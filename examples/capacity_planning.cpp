@@ -3,7 +3,8 @@
 /// finishes my job before the deadline, and what does each choice cost?"
 ///
 /// The two-level model's fitted scalability curve can be evaluated at *any*
-/// process count (predict_at_scale), so we sweep candidate widths, build a
+/// process count (ExtrapolationLevel::predict takes any list of scales), so
+/// we sweep candidate widths in one call, build a
 /// deadline/cost table, and validate the recommendation against the
 /// simulator's ground truth.
 
@@ -38,15 +39,21 @@ int main() {
   print_section(std::cout, "width sweep (model predictions)");
   TextTable table({"processes", "predicted time", "core-seconds",
                    "efficiency vs p=16", "meets deadline"});
-  const double t16 = model.extrapolation().predict_at_scale(curve, 16);
+  const auto times = model.extrapolation().predict(curve, widths);
+  const double t16 = times.front();
   std::size_t recommended = 0;
-  for (const std::size_t p : widths) {
-    const double t = model.extrapolation().predict_at_scale(curve, p);
+  double recommended_time = 0.0;
+  for (std::size_t w = 0; w < widths.size(); ++w) {
+    const std::size_t p = widths[w];
+    const double t = times[w];
     const double cost = t * static_cast<double>(p);
     const double efficiency =
         (t16 * 16.0) / cost;  // speedup relative to ideal from p=16
     const bool ok = t <= deadline;
-    if (ok && recommended == 0) recommended = p;
+    if (ok && recommended == 0) {
+      recommended = p;
+      recommended_time = t;
+    }
     table.add_row({std::to_string(p), format_double(t, 3) + " s",
                    format_double(cost, 1),
                    format_double(100.0 * efficiency, 1) + " %",
@@ -68,13 +75,7 @@ int main() {
             << (actual <= deadline * 1.05 ? "deadline met"
                                           : "DEADLINE MISSED")
             << ", prediction error "
-            << format_double(
-                   100.0 *
-                       (model.extrapolation().predict_at_scale(
-                            curve, recommended) -
-                        actual) /
-                       actual,
-                   1)
+            << format_double(100.0 * (recommended_time - actual) / actual, 1)
             << " %)\n";
   return 0;
 }

@@ -60,13 +60,12 @@ int main() {
   for (auto& job : jobs) {
     const auto& model = models.at(job.app);
     const auto curve = model.small_scale_curve(job.params, {});
+    const auto times = model.extrapolation().predict(curve, kWidths);
     job.width = kWidths.front();
-    double prev_time =
-        model.extrapolation().predict_at_scale(curve, kWidths.front());
+    double prev_time = times.front();
     job.predicted = prev_time;
     for (std::size_t w = 1; w < kWidths.size(); ++w) {
-      const double t =
-          model.extrapolation().predict_at_scale(curve, kWidths[w]);
+      const double t = times[w];
       const double efficiency = prev_time / (2.0 * t);
       if (efficiency < 0.6) break;
       job.width = kWidths[w];

@@ -439,81 +439,65 @@ double ExtrapolationLevel::eval_fit(const CurveFit& fit, double p) const {
   return std::max(acc, 1e-9);
 }
 
-double ExtrapolationLevel::eval_power_law(std::span<const double> curve,
-                                          double p) const {
+ExtrapolationLevel::PowerLaw ExtrapolationLevel::fit_power_law(
+    std::span<const double> curve) const {
   // Log–log OLS of the query curve: log t = log a + b·log p. The weakest
   // model that still extrapolates — used only when every multitask support
   // selection failed (FallbackStage::PerConfigOls).
   const std::size_t k = small_scales_.size();
-  double mean_x = 0.0;
-  double mean_y = 0.0;
+  PowerLaw law;
   for (std::size_t i = 0; i < k; ++i) {
-    mean_x += std::log(static_cast<double>(small_scales_[i]));
-    mean_y += std::log(std::max(curve[i], 1e-12));
+    law.mean_log_p += std::log(static_cast<double>(small_scales_[i]));
+    law.mean_log_t += std::log(std::max(curve[i], 1e-12));
   }
-  mean_x /= static_cast<double>(k);
-  mean_y /= static_cast<double>(k);
+  law.mean_log_p /= static_cast<double>(k);
+  law.mean_log_t /= static_cast<double>(k);
   double var = 0.0;
   double cov = 0.0;
   for (std::size_t i = 0; i < k; ++i) {
-    const double dx = std::log(static_cast<double>(small_scales_[i])) - mean_x;
-    const double dy = std::log(std::max(curve[i], 1e-12)) - mean_y;
+    const double dx =
+        std::log(static_cast<double>(small_scales_[i])) - law.mean_log_p;
+    const double dy = std::log(std::max(curve[i], 1e-12)) - law.mean_log_t;
     var += dx * dx;
     cov += dx * dy;
   }
-  const double b = var > 0.0 ? cov / var : 0.0;
-  const double log_pred = mean_y + b * (std::log(p) - mean_x);
+  law.slope = var > 0.0 ? cov / var : 0.0;
+  return law;
+}
+
+double ExtrapolationLevel::PowerLaw::eval(double p) const {
+  const double log_pred = mean_log_t + slope * (std::log(p) - mean_log_p);
   return std::max(std::exp(log_pred), 1e-9);
 }
 
-double ExtrapolationLevel::predict_one(std::span<const double> small_curve,
-                                       double p) const {
-  std::vector<std::size_t> support;
-  if (opts_.multitask) {
-    const std::size_t c = assign_cluster(small_curve);
-    if (cluster_stages_[c] == FallbackStage::PerConfigOls) {
-      return eval_power_law(small_curve, p);
-    }
-    support = cluster_supports_[c];
-  } else {
-    support = select_support_single(small_curve);
-  }
-  return eval_fit(fit_curve(small_curve, support), p);
-}
-
 std::vector<double> ExtrapolationLevel::predict(
-    std::span<const double> small_curve) const {
+    std::span<const double> small_curve,
+    std::span<const std::size_t> scales) const {
   HPCP_REQUIRE(fitted_, "predict before fit");
   HPCP_REQUIRE(small_curve.size() == small_scales_.size(),
                "curve width must match small-scale count");
-  std::vector<double> pred(target_scales_.size());
+  std::vector<double> pred(scales.size());
+  std::vector<std::size_t> single_support;
+  std::span<const std::size_t> support;
   if (opts_.multitask) {
     const std::size_t c = assign_cluster(small_curve);
     if (cluster_stages_[c] == FallbackStage::PerConfigOls) {
-      for (std::size_t t = 0; t < target_scales_.size(); ++t) {
-        pred[t] = eval_power_law(small_curve,
-                                 static_cast<double>(target_scales_[t]));
+      const PowerLaw law = fit_power_law(small_curve);
+      for (std::size_t i = 0; i < scales.size(); ++i) {
+        pred[i] = law.eval(static_cast<double>(scales[i]));
       }
       return pred;
     }
-    const CurveFit fit = fit_curve(small_curve, cluster_supports_[c]);
-    for (std::size_t t = 0; t < target_scales_.size(); ++t) {
-      pred[t] = eval_fit(fit, static_cast<double>(target_scales_[t]));
-    }
-    return pred;
+    support = cluster_supports_[c];
+  } else {
+    single_support = select_support_single(small_curve);
+    support = single_support;
   }
-  const CurveFit fit =
-      fit_curve(small_curve, select_support_single(small_curve));
-  for (std::size_t t = 0; t < target_scales_.size(); ++t) {
-    pred[t] = eval_fit(fit, static_cast<double>(target_scales_[t]));
+  const CurveFit fit = fit_curve(small_curve, support);
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    pred[i] = eval_fit(fit, static_cast<double>(scales[i]));
   }
   return pred;
-}
-
-double ExtrapolationLevel::predict_at_scale(
-    std::span<const double> small_curve, std::size_t nprocs) const {
-  HPCP_REQUIRE(fitted_, "predict before fit");
-  return predict_one(small_curve, static_cast<double>(nprocs));
 }
 
 std::vector<std::string> ExtrapolationLevel::support_names(

@@ -88,14 +88,13 @@ class ExtrapolationLevel {
            std::span<const std::size_t> target_scales, Rng& rng,
            TrainReport* report = nullptr, ThreadPool* pool = nullptr);
 
-  /// Predicted target-scale runtimes for one small-scale curve.
+  /// Predicted runtimes of one small-scale curve at `scales` (the
+  /// configured target_scales(), or any others — e.g. a whole speedup
+  /// curve). The curve is assigned to its cluster and fitted once; the fit
+  /// is then evaluated at every scale.
   [[nodiscard]] std::vector<double> predict(
-      std::span<const double> small_curve) const;
-
-  /// Fitted scalability curve evaluated at an arbitrary scale (useful for
-  /// plotting whole speedup curves).
-  [[nodiscard]] double predict_at_scale(std::span<const double> small_curve,
-                                        std::size_t nprocs) const;
+      std::span<const double> small_curve,
+      std::span<const std::size_t> scales) const;
 
   /// Cluster a curve would be assigned to.
   [[nodiscard]] std::size_t assign_cluster(
@@ -146,15 +145,17 @@ class ExtrapolationLevel {
 
   [[nodiscard]] double eval_fit(const CurveFit& fit, double p) const;
 
-  /// PerConfigOls fallback: log–log power law t ≈ a·p^b fitted to `curve`
-  /// over the small scales, evaluated at scale p.
-  [[nodiscard]] double eval_power_law(std::span<const double> curve,
-                                      double p) const;
+  /// PerConfigOls fallback: log–log power law t ≈ a·p^b, stored as the
+  /// means of log p and log t over the small scales plus the slope b.
+  struct PowerLaw {
+    double mean_log_p = 0.0;
+    double mean_log_t = 0.0;
+    double slope = 0.0;
+    [[nodiscard]] double eval(double p) const;
+  };
 
-  /// Predicted runtime of one curve at scale p, honouring the cluster's
-  /// fallback stage.
-  [[nodiscard]] double predict_one(std::span<const double> small_curve,
-                                   double p) const;
+  /// Fits the PerConfigOls power law to `curve` over the small scales.
+  [[nodiscard]] PowerLaw fit_power_law(std::span<const double> curve) const;
 
   ExtrapolationLevelOptions opts_{};
   ScalingBasis basis_{};

@@ -2,11 +2,9 @@
 
 #include <bit>
 #include <cmath>
-#include <fstream>
 #include <optional>
 
 #include "src/common/check.hpp"
-#include "src/common/io.hpp"
 #include "src/common/stats.hpp"
 #include "src/obs/obs.hpp"
 
@@ -150,7 +148,8 @@ void TwoLevelModel::calibrate(std::span<const double> params,
   HPCP_REQUIRE(measured_runtime > 0.0, "measured runtime must be positive");
   const auto curve = interpolation_.predict_curve(params);
   const std::size_t cluster = extrapolation_.assign_cluster(curve);
-  const double raw = extrapolation_.predict_at_scale(curve, nprocs);
+  const std::size_t scale[] = {nprocs};
+  const double raw = extrapolation_.predict(curve, scale)[0];
   calibration_log_ratios_[cluster].push_back(
       std::log(measured_runtime / raw));
 }
@@ -179,10 +178,8 @@ std::vector<double> TwoLevelModel::predict_curve_at_scales(
   HPCP_REQUIRE(extrapolation_.fitted(), "predict before fit");
   const double factor =
       calibration_factor(extrapolation_.assign_cluster(small_curve));
-  std::vector<double> out(scales.size());
-  for (std::size_t i = 0; i < scales.size(); ++i) {
-    out[i] = factor * extrapolation_.predict_at_scale(small_curve, scales[i]);
-  }
+  std::vector<double> out = extrapolation_.predict(small_curve, scales);
+  for (auto& v : out) v *= factor;
   return out;
 }
 
@@ -204,18 +201,13 @@ std::vector<double> TwoLevelModel::predict(
   const obs::Span span("twolevel.predict");
   obs::count("twolevel.predictions");
   const auto curve = small_scale_curve(params, measured_small_times);
-  auto pred = extrapolation_.predict(curve);
+  auto pred = extrapolation_.predict(curve, extrapolation_.target_scales());
   const double factor =
       calibration_factor(extrapolation_.assign_cluster(curve));
   if (factor != 1.0) {
     for (auto& v : pred) v *= factor;
   }
   return pred;
-}
-
-void TwoLevelModel::save(std::ostream& out) const {
-  Serializer s(out);
-  save(s);
 }
 
 void TwoLevelModel::save(Serializer& s) const {
@@ -232,11 +224,6 @@ void TwoLevelModel::save(Serializer& s) const {
   extrapolation_.save(s);
   s.write(static_cast<std::size_t>(calibration_log_ratios_.size()));
   for (const auto& ratios : calibration_log_ratios_) s.write(ratios);
-}
-
-TwoLevelModel TwoLevelModel::load(std::istream& in) {
-  Deserializer d(in);
-  return load(d);
 }
 
 TwoLevelModel TwoLevelModel::load(Deserializer& d) {
@@ -259,40 +246,6 @@ TwoLevelModel TwoLevelModel::load(Deserializer& d) {
   return model;
 }
 
-void TwoLevelModel::save_file(const std::string& path) const {
-  save_file_checked(path).value_or_throw();
-}
-
-Expected<void> TwoLevelModel::save_file_checked(
-    const std::string& path) const {
-  return atomic_write_file(path,
-                           [this](std::ostream& out) { save(out); });
-}
-
-TwoLevelModel TwoLevelModel::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open model file: " + path);
-  return load(in);
-}
-
-Expected<TwoLevelModel> TwoLevelModel::load_checked(std::istream& in) {
-  // The deserializer throws on truncation, tag mismatches, and malformed
-  // tokens; archives arrive from outside the process, so those surface as
-  // typed errors here rather than exceptions.
-  try {
-    return load(in);
-  } catch (const std::exception& e) {
-    return Error{ErrorCode::BadData, e.what(), "model archive"};
-  }
-}
-
-Expected<TwoLevelModel> TwoLevelModel::load_file_checked(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Error{ErrorCode::Io, "cannot open model file", path};
-  return load_checked(in);
-}
-
 std::vector<PredictionInterval> TwoLevelModel::predict_with_uncertainty(
     std::span<const double> params) const {
   const obs::Span span("twolevel.predict_with_uncertainty");
@@ -304,7 +257,8 @@ std::vector<PredictionInterval> TwoLevelModel::predict_with_uncertainty(
                "interval quantiles must be ordered");
 
   const auto stats = interpolation_.predict_curve_stats(params);
-  auto point = extrapolation_.predict(stats.curve);
+  const auto& targets = extrapolation_.target_scales();
+  auto point = extrapolation_.predict(stats.curve, targets);
   const double factor =
       calibration_factor(extrapolation_.assign_cluster(stats.curve));
   for (auto& v : point) v *= factor;
@@ -328,7 +282,7 @@ std::vector<PredictionInterval> TwoLevelModel::predict_with_uncertainty(
       curve[i] =
           stats.curve[i] * std::exp(rng.normal(0.0, stats.log_spread[i]));
     }
-    const auto pred = extrapolation_.predict(curve);
+    const auto pred = extrapolation_.predict(curve, targets);
     for (std::size_t t = 0; t < pred.size(); ++t) {
       samples[t].push_back(factor * pred[t]);
     }

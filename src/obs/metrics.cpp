@@ -311,8 +311,10 @@ bool MetricRegistry::write_prometheus(const std::string& path) const {
 }
 
 MetricRegistry& global_metrics() {
-  static MetricRegistry registry;
-  return registry;
+  // Deliberately immortal, like Tracer::instance(): pool workers and other
+  // threads may still count while static destructors run at exit.
+  static MetricRegistry* const registry = new MetricRegistry;
+  return *registry;
 }
 
 void count(std::string_view name, std::uint64_t delta, const Labels& labels) {

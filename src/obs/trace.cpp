@@ -72,8 +72,11 @@ Tracer::Tracer() : epoch_ns_(steady_now_ns()) {
 }
 
 Tracer& Tracer::instance() {
-  static Tracer tracer;
-  return tracer;
+  // Deliberately immortal: a thread-pool worker may still be naming itself
+  // while static destructors run after main returns, so the tracer must
+  // outlive every thread instead of being destroyed at exit.
+  static Tracer* const tracer = new Tracer;
+  return *tracer;
 }
 
 void Tracer::set_capacity(std::size_t capacity) {

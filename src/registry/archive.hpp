@@ -23,8 +23,12 @@
 ///   | section payloads ("meta", "model", ...)                      |
 ///   +--------------------------------------------------------------+
 ///
-///   "meta"   tenant name + registry version (binary codec)
-///   "model"  the full model graph through BinarySerializer
+///   "meta"   tenant name + registry version
+///   "model"  the full model graph
+///
+/// Both payloads use the codec in src/common/serialize.hpp. This is the
+/// only on-disk model format: `train --save`, `serve --model`, reloads and
+/// the registry all read and write it.
 ///
 /// Opening an archive mmaps the file and validates only the header and
 /// section table — O(pages touched), not a full deserialize — so registry
@@ -32,9 +36,7 @@
 /// is. `load_model()` then checksums and parses just the "model" section.
 /// When mmap is unavailable (exotic filesystems, resource limits) the
 /// archive falls back to reading the file into memory; the parse is
-/// bit-identical either way, and loading a *legacy text* archive through
-/// `load_model_any` falls back to the serialize.cpp path (the property
-/// tests pin all three routes to bitwise-equal predictions).
+/// bit-identical either way.
 ///
 /// Corruption — truncation, bit flips, a section table pointing past EOF
 /// ("short map") — surfaces as typed BadData/Io errors: every section is
@@ -71,10 +73,6 @@ class ModelArchive {
   /// Unopenable file -> Io; anything structurally wrong -> BadData.
   [[nodiscard]] static Expected<ModelArchive> open(const std::string& path);
 
-  /// True when the first bytes of `path` carry the archive magic (false
-  /// for legacy text archives, unreadable paths, short files).
-  [[nodiscard]] static bool is_archive_file(const std::string& path);
-
   [[nodiscard]] const ArchiveMeta& meta() const noexcept { return meta_; }
   [[nodiscard]] const std::vector<SectionInfo>& sections() const noexcept {
     return sections_;
@@ -83,7 +81,7 @@ class ModelArchive {
   [[nodiscard]] bool mapped() const noexcept;
   [[nodiscard]] std::size_t file_bytes() const noexcept;
 
-  /// Checksums the "model" section, then parses it with the binary codec.
+  /// Checksums the "model" section, then parses it.
   /// A flipped bit or short section -> BadData, never UB.
   [[nodiscard]] Expected<TwoLevelModel> load_model() const;
 
@@ -105,9 +103,5 @@ class ModelArchive {
 [[nodiscard]] Expected<void> write_model_archive(const std::string& path,
                                                  const TwoLevelModel& model,
                                                  const ArchiveMeta& meta);
-
-/// Loads a model from either format: a sectioned binary archive (by
-/// magic), or the legacy text archive via the serialize.cpp path.
-[[nodiscard]] Expected<TwoLevelModel> load_model_any(const std::string& path);
 
 }  // namespace hpcp::registry

@@ -141,7 +141,9 @@ Expected<std::uint64_t> Registry::add_model(const std::string& tenant,
 
 Expected<std::uint64_t> Registry::add_from_file(
     const std::string& tenant, const std::string& model_path) {
-  auto model = load_model_any(model_path);
+  auto archive = ModelArchive::open(model_path);
+  if (!archive) return archive.error();
+  auto model = archive->load_model();
   if (!model) return model.error();
   return add_model(tenant, *model);
 }

@@ -24,7 +24,7 @@
 ///   - ChaosStreambuf wraps any input streambuf and injects short reads,
 ///     garbage frames (whole bogus lines at line boundaries), and a
 ///     mid-line disconnect (premature EOF at an arbitrary byte).
-///   - FdStreambuf (fd_stream.hpp) consults an injector to clamp socket
+///   - The epoll transport (tcp.cpp) consults an injector to clamp socket
 ///     reads/writes and force disconnects at the syscall layer.
 ///   - make_skipping_clock builds a deterministic monotonic clock that
 ///     occasionally jumps forward, for exercising request deadlines

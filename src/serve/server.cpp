@@ -9,6 +9,7 @@
 
 #include "src/linear/matrix.hpp"
 #include "src/obs/jsonlite.hpp"
+#include "src/registry/archive.hpp"
 
 namespace hpcp::serve {
 
@@ -137,7 +138,9 @@ Expected<void> Server::attach_registry(const std::string& root) {
 
 Expected<void> Server::load_model_file(const std::string& path) {
   const obs::Span span("serve.reload", path);
-  auto loaded = TwoLevelModel::load_file_checked(path);
+  auto archive = registry::ModelArchive::open(path);
+  auto loaded = archive ? archive->load_model()
+                        : Expected<TwoLevelModel>(archive.error());
   if (!loaded) {
     obs::count("serve.reload_failures");
     return loaded.error();

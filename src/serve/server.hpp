@@ -151,9 +151,10 @@ class Server {
  public:
   explicit Server(ServeOptions opts = {});
 
-  /// Loads (or hot-reloads) the model from `path`. On success the new
-  /// snapshot is installed, model_version is bumped, and the cache is
-  /// cleared; on failure (Io / BadData) the previous model keeps serving.
+  /// Loads (or hot-reloads) the model from the `.hpcp` archive at `path`.
+  /// On success the new snapshot is installed, model_version is bumped,
+  /// and the cache is cleared; on failure (Io / BadData, including any
+  /// file that is not an archive) the previous model keeps serving.
   [[nodiscard]] Expected<void> load_model_file(const std::string& path);
 
   /// Installs an in-process model (tests, benches). `source_path` is what

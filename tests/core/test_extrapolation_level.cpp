@@ -36,7 +36,7 @@ TEST(ExtrapolationLevel, RecoversPerfectScalingLaw) {
   level.fit(curves, kSmall, kTargets, rng);
   EXPECT_TRUE(level.fitted());
   for (std::size_t i = 0; i < 10; ++i) {
-    const auto pred = level.predict(curves.row(i));
+    const auto pred = level.predict(curves.row(i), kTargets);
     ASSERT_EQ(pred.size(), 2u);
     EXPECT_NEAR(pred[0], works[i] / 64.0, works[i] / 64.0 * 0.05);
     EXPECT_NEAR(pred[1], works[i] / 256.0, works[i] / 256.0 * 0.10);
@@ -52,7 +52,7 @@ TEST(ExtrapolationLevel, RecoversMixedLaw) {
   Rng rng(4);
   level.fit(curves, kSmall, kTargets, rng);
   for (std::size_t i = 0; i < 10; ++i) {
-    const auto pred = level.predict(curves.row(i));
+    const auto pred = level.predict(curves.row(i), kTargets);
     const double truth = works[i] / 64.0 + comm * 6.0;
     EXPECT_NEAR(pred[0], truth, truth * 0.25) << "config " << i;
   }
@@ -143,7 +143,7 @@ TEST(ExtrapolationLevel, SingleTaskModeWorks) {
   ExtrapolationLevel level({.multitask = false});
   Rng rng(14);
   level.fit(curves, kSmall, kTargets, rng);
-  const auto pred = level.predict(curves.row(0));
+  const auto pred = level.predict(curves.row(0), kTargets);
   EXPECT_NEAR(pred[0], works[0] / 64.0, works[0] / 64.0 * 0.2);
 }
 
@@ -155,11 +155,17 @@ TEST(ExtrapolationLevel, PredictAtScaleInterpolatesAndExtrapolates) {
   Rng rng(16);
   level.fit(curves, kSmall, kTargets, rng);
   // At a small scale the model should reproduce the curve itself.
-  const double at8 = level.predict_at_scale(curves.row(0), 8);
-  EXPECT_NEAR(at8, curves(0, 3), curves(0, 3) * 0.05);
+  const std::vector<std::size_t> scales{8, 32, 128};
+  const auto pred = level.predict(curves.row(0), scales);
+  ASSERT_EQ(pred.size(), scales.size());
+  EXPECT_NEAR(pred[0], curves(0, 3), curves(0, 3) * 0.05);
   // Monotone decreasing continuation for a perfectly scaling config.
-  EXPECT_GT(level.predict_at_scale(curves.row(0), 32),
-            level.predict_at_scale(curves.row(0), 128));
+  EXPECT_GT(pred[1], pred[2]);
+  // One scale at a time evaluates the same fit.
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    const std::size_t one[] = {scales[i]};
+    EXPECT_EQ(level.predict(curves.row(0), one)[0], pred[i]) << scales[i];
+  }
 }
 
 TEST(ExtrapolationLevel, PredictionsArePositive) {
@@ -169,7 +175,9 @@ TEST(ExtrapolationLevel, PredictionsArePositive) {
   Rng rng(18);
   level.fit(curves, kSmall, kTargets, rng);
   for (std::size_t i = 0; i < 40; ++i) {
-    for (const double v : level.predict(curves.row(i))) EXPECT_GT(v, 0.0);
+    for (const double v : level.predict(curves.row(i), kTargets)) {
+      EXPECT_GT(v, 0.0);
+    }
   }
 }
 
@@ -188,7 +196,7 @@ TEST(ExtrapolationLevel, NoisyCurvesStillBounded) {
   level.fit(curves, kSmall, kTargets, rng);
   for (std::size_t i = 0; i < 20; ++i) {
     const double truth = works[i] / 64.0 + 0.05 * 6.0;
-    const auto pred = level.predict(curves.row(i));
+    const auto pred = level.predict(curves.row(i), kTargets);
     EXPECT_GT(pred[0], truth * 0.3) << i;
     EXPECT_LT(pred[0], truth * 3.0) << i;
   }
@@ -205,13 +213,14 @@ TEST(ExtrapolationLevel, RejectsBadInput) {
   EXPECT_THROW(level.fit(curves, mismatch, kTargets, rng),
                std::invalid_argument);
   const std::vector<double> wrong_width{1.0};
-  EXPECT_THROW((void)level.predict(wrong_width), std::invalid_argument);
+  EXPECT_THROW((void)level.predict(wrong_width, kTargets),
+               std::invalid_argument);
 }
 
 TEST(ExtrapolationLevel, PredictBeforeFitThrows) {
   const ExtrapolationLevel level;
   const std::vector<double> curve{1.0, 2.0};
-  EXPECT_THROW((void)level.predict(curve), std::invalid_argument);
+  EXPECT_THROW((void)level.predict(curve, kTargets), std::invalid_argument);
 }
 
 class MaxSupportSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -46,8 +46,9 @@ FitResult fit_at(std::size_t threads) {
           .value_or_throw();
   FitResult result;
   result.reported_threads = report.threads;
-  std::ostringstream out;
-  model.save(out);
+  std::ostringstream out(std::ios::binary);
+  Serializer s(out);
+  model.save(s);
   result.archive = out.str();
   for (std::size_t i = 0; i < exp.test.size(); ++i) {
     result.predictions.push_back(model.predict(exp.test.configs.row(i), {}));

@@ -321,7 +321,7 @@ TEST(TwoLevelModel, DegenerateClusterFallsBackToPowerLaw) {
   EXPECT_EQ(level.cluster_stage(0), FallbackStage::PerConfigOls);
 
   const std::vector<double> flat(4, 7.0);
-  const auto pred = level.predict(flat);
+  const auto pred = level.predict(flat, targets);
   ASSERT_EQ(pred.size(), 1u);
   // A flat curve extrapolates flat under a power law.
   EXPECT_NEAR(pred[0], 7.0, 0.5);
@@ -347,7 +347,7 @@ TEST(TwoLevelModel, AmdahlPresetWhenPowerLawUnidentifiable) {
   EXPECT_EQ(report.clusters[0].support[0], 0u);
 
   const std::vector<double> flat(2, 3.0);
-  const auto pred = level.predict(flat);
+  const auto pred = level.predict(flat, targets);
   ASSERT_EQ(pred.size(), 1u);
   EXPECT_GT(pred[0], 0.0);
   EXPECT_TRUE(std::isfinite(pred[0]));

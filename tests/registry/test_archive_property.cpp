@@ -1,17 +1,18 @@
-/// Property tests of the sectioned binary archive over many randomly
-/// generated models: for every seed, legacy-text round-trip and
-/// binary-archive round-trip must predict bitwise-identically to the
-/// original model (and therefore to each other) — the mmap fast path is
-/// only admissible because it is bit-for-bit the serialize.cpp semantics.
-/// Adversarial archives — truncated anywhere, bit-flipped anywhere, a
-/// section table pointing past EOF — must come back from open()/
-/// load_model() as typed BadData/Io errors, never as a crash, hang, or
-/// out-of-bounds read (this file runs under the ASan/UBSan CI legs).
+/// Property tests of the sectioned `.hpcp` archive, the only on-disk model
+/// format, over many randomly generated models: for every seed, the bare
+/// codec stream and the archive round trip must predict bitwise-identically
+/// to the in-memory model, and the archive's model section must be exactly
+/// the codec stream. Adversarial files — truncated anywhere, bit-flipped anywhere, a
+/// section table pointing past EOF, garbage or text in place of an
+/// archive — must come back from open()/load_model() as typed BadData/Io
+/// errors, never as a crash, hang, or out-of-bounds read (this file runs
+/// under the ASan/UBSan CI legs).
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/serialize.hpp"
 #include "src/core/problem.hpp"
 #include "src/core/two_level_model.hpp"
 #include "src/registry/archive.hpp"
@@ -28,8 +30,10 @@ namespace {
 
 constexpr std::size_t kNumModels = 50;
 
-/// Same random-history generator as the persistence property suite: valid
-/// but deliberately messier than simulator output.
+/// A random but valid training history: n configurations with random
+/// parameters and positive, roughly-decaying runtime curves over the small
+/// scales. Deliberately messier than simulator output — persistence must
+/// survive whatever a fit accepts.
 ExtrapolationProblem random_problem(std::uint64_t seed) {
   Rng rng(seed);
   const std::size_t n = 12 + rng.uniform_index(28);  // 12..39 configs
@@ -93,12 +97,19 @@ TEST(ArchiveProperty, LegacyAndBinaryRoundTripsPredictIdentically) {
     const ExtrapolationProblem problem = random_problem(seed);
     const TwoLevelModel model = fit_model(problem, seed);
 
-    // Route 1: legacy text codec through a stream.
-    std::stringstream legacy;
-    model.save(legacy);
-    const auto via_text = TwoLevelModel::load_checked(legacy);
-    ASSERT_TRUE(via_text.has_value())
-        << "seed " << seed << ": " << via_text.error().to_string();
+    // Route 1: the bare field-graph stream that save(Serializer&) writes,
+    // with no archive around it — the stream route models were persisted
+    // through before the archive existed.
+    std::ostringstream stream(std::ios::binary);
+    {
+      Serializer s(stream);
+      model.save(s);
+    }
+    const std::string legacy = stream.str();
+    Deserializer d(reinterpret_cast<const unsigned char*>(legacy.data()),
+                   legacy.size());
+    const TwoLevelModel via_stream = TwoLevelModel::load(d);
+    ASSERT_EQ(d.consumed(), legacy.size()) << "seed " << seed;
 
     // Route 2: sectioned binary archive through the mmap open path.
     ArchiveMeta meta;
@@ -111,50 +122,35 @@ TEST(ArchiveProperty, LegacyAndBinaryRoundTripsPredictIdentically) {
         << "seed " << seed << ": " << archive.error().to_string();
     EXPECT_EQ(archive->meta().tenant, "prop");
     EXPECT_EQ(archive->meta().version, seed);
-    const auto via_binary = archive->load_model();
-    ASSERT_TRUE(via_binary.has_value())
-        << "seed " << seed << ": " << via_binary.error().to_string();
+    const auto via_archive = archive->load_model();
+    ASSERT_TRUE(via_archive.has_value())
+        << "seed " << seed << ": " << via_archive.error().to_string();
+
+    // The archive adds framing only: its model section is the stream.
+    const std::string file = read_file(path);
+    bool found = false;
+    for (const SectionInfo& section : archive->sections()) {
+      if (section.name != "model") continue;
+      found = true;
+      ASSERT_EQ(file.substr(section.offset, section.size), legacy)
+          << "seed " << seed;
+    }
+    ASSERT_TRUE(found) << "seed " << seed;
 
     for (std::size_t i = 0; i < problem.num_configs(); ++i) {
       const auto want = model.predict(problem.train_configs.row(i), {});
-      const auto text = via_text->predict(problem.train_configs.row(i), {});
-      const auto binary =
-          via_binary->predict(problem.train_configs.row(i), {});
-      ASSERT_EQ(want.size(), text.size());
-      ASSERT_EQ(want.size(), binary.size());
+      const auto a = via_stream.predict(problem.train_configs.row(i), {});
+      const auto b = via_archive->predict(problem.train_configs.row(i), {});
+      ASSERT_EQ(want.size(), a.size());
+      ASSERT_EQ(want.size(), b.size());
       for (std::size_t t = 0; t < want.size(); ++t) {
-        // Exact double comparison — the two codecs must agree bitwise.
-        ASSERT_EQ(want[t], text[t])
+        // Exact double comparison — the two routes must agree bitwise.
+        ASSERT_EQ(want[t], a[t])
             << "seed " << seed << " config " << i << " target " << t;
-        ASSERT_EQ(want[t], binary[t])
+        ASSERT_EQ(want[t], b[t])
             << "seed " << seed << " config " << i << " target " << t;
       }
     }
-  }
-}
-
-TEST(ArchiveProperty, LoadModelAnyAcceptsBothFormats) {
-  const ExtrapolationProblem problem = random_problem(3);
-  const TwoLevelModel model = fit_model(problem, 3);
-
-  const std::string text_path = temp_path("prop_any_legacy.txt");
-  model.save_file(text_path);
-  const std::string bin_path = temp_path("prop_any_binary.hpcp");
-  ASSERT_TRUE(write_model_archive(bin_path, model, {}).has_value());
-
-  EXPECT_FALSE(ModelArchive::is_archive_file(text_path));
-  EXPECT_TRUE(ModelArchive::is_archive_file(bin_path));
-
-  const auto via_text = load_model_any(text_path);
-  const auto via_bin = load_model_any(bin_path);
-  ASSERT_TRUE(via_text.has_value()) << via_text.error().to_string();
-  ASSERT_TRUE(via_bin.has_value()) << via_bin.error().to_string();
-  const auto want = model.predict(problem.train_configs.row(0), {});
-  const auto a = via_text->predict(problem.train_configs.row(0), {});
-  const auto b = via_bin->predict(problem.train_configs.row(0), {});
-  for (std::size_t t = 0; t < want.size(); ++t) {
-    EXPECT_EQ(want[t], a[t]);
-    EXPECT_EQ(want[t], b[t]);
   }
 }
 
@@ -223,8 +219,11 @@ TEST(ArchiveProperty, BitFlipsNeverCrashAndNeverParseSilently) {
 
 TEST(ArchiveProperty, GarbageAndShortFilesAreTypedErrors) {
   const std::string path = temp_path("prop_garbage.hpcp");
+  // The junk includes the start of a hexfloat text model, the format
+  // models were once saved in: it is not an archive either.
   for (const auto& junk :
        {std::string{}, std::string{"HPCP"}, std::string{"not an archive"},
+        std::string{"@hpcpredict-two-level-v1\n9 two-level\n0\n1\n"},
         std::string(7, '\0'), std::string(4096, 'x')}) {
     write_file(path, junk);
     const auto archive = ModelArchive::open(path);
@@ -247,13 +246,47 @@ TEST(ArchiveProperty, GarbageAndShortFilesAreTypedErrors) {
   EXPECT_EQ(archive.error().code, ErrorCode::BadData);
 }
 
+TEST(ArchiveProperty, UnknownModelVersionIsATypedError) {
+  // A well-formed archive whose model section carries another format
+  // version (re-checksummed, so only the parser can object).
+  const ExtrapolationProblem problem = random_problem(4);
+  const TwoLevelModel model = fit_model(problem, 4);
+  const std::string path = temp_path("prop_version.hpcp");
+  ASSERT_TRUE(write_model_archive(path, model, {}).has_value());
+  std::string bytes = read_file(path);
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+  };
+  // Header 24 B, then 40 B per section; "model" is the second entry.
+  const std::size_t entry = 24 + 40;
+  const std::size_t offset = u64_at(entry + 16);
+  const std::size_t size = u64_at(entry + 24);
+  const std::string tag = "hpcpredict-two-level-v1";
+  ASSERT_EQ(bytes.substr(offset + 8, tag.size()), tag);
+  bytes[offset + 8 + tag.size() - 1] = '9';
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (std::size_t i = offset; i < offset + size; ++i) {
+    fnv ^= static_cast<unsigned char>(bytes[i]);
+    fnv *= 0x100000001b3ULL;
+  }
+  std::memcpy(bytes.data() + entry + 32, &fnv, sizeof(fnv));
+  write_file(path, bytes);
+
+  const auto archive = ModelArchive::open(path);
+  ASSERT_TRUE(archive.has_value()) << archive.error().to_string();
+  const auto loaded = archive->load_model();
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.error().code, ErrorCode::BadData);
+  EXPECT_NE(loaded.error().message.find("expected tag"), std::string::npos)
+      << loaded.error().message;
+}
+
 TEST(ArchiveProperty, MissingFileIsIoError) {
   const auto archive = ModelArchive::open("/nonexistent/dir/model.hpcp");
   ASSERT_FALSE(archive.has_value());
   EXPECT_EQ(archive.error().code, ErrorCode::Io);
-  const auto any = load_model_any("/nonexistent/dir/model.hpcp");
-  ASSERT_FALSE(any.has_value());
-  EXPECT_EQ(any.error().code, ErrorCode::Io);
 }
 
 }  // namespace

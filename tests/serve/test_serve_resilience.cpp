@@ -15,6 +15,7 @@
 #include "src/core/experiment.hpp"
 #include "src/core/two_level_model.hpp"
 #include "src/obs/jsonlite.hpp"
+#include "src/registry/archive.hpp"
 #include "src/serve/server.hpp"
 
 namespace hpcp::serve {
@@ -38,8 +39,9 @@ const Fixture& fixture() {
     Rng rng(2);
     out->model.fit(out->exp.problem, rng);
     out->model_path =
-        ::testing::TempDir() + "/hpcp_serve_resilience_model.txt";
-    out->model.save_file(out->model_path);
+        ::testing::TempDir() + "/hpcp_serve_resilience_model.hpcp";
+    registry::write_model_archive(out->model_path, out->model, {})
+        .value_or_throw();
     return out;
   }();
   return *f;
@@ -143,7 +145,7 @@ TEST(ServeResilience, ReloadFailureStreakEntersDegradedCacheOnlyMode) {
   const std::string cached = server->handle_line(predict_line(0));
   ASSERT_NE(cached.find("\"ok\":true"), std::string::npos);
   const std::string bad_reload =
-      R"({"cmd":"reload","model":"/nonexistent/m.txt"})";
+      R"({"cmd":"reload","model":"/nonexistent/m.hpcp"})";
   for (int i = 0; i < 3; ++i) {
     EXPECT_NE(server->handle_line(bad_reload).find("\"ok\":false"),
               std::string::npos);
@@ -179,7 +181,7 @@ TEST(ServeResilience, HealthProbeReportsModeAndCounters) {
 
   for (int i = 0; i < 3; ++i) {
     (void)server->handle_line(
-        R"({"cmd":"reload","model":"/nonexistent/m.txt"})");
+        R"({"cmd":"reload","model":"/nonexistent/m.hpcp"})");
   }
   const std::string degraded = server->handle_line(R"({"cmd":"health"})");
   EXPECT_NE(degraded.find("\"status\":\"degraded\""), std::string::npos)
@@ -230,7 +232,7 @@ TEST(ServeResilience, FailedReloadRetriesWithCappedBackoff) {
   });
   EXPECT_NE(server
                 ->handle_line(
-                    R"({"cmd":"reload","model":"/nonexistent/m.txt"})")
+                    R"({"cmd":"reload","model":"/nonexistent/m.hpcp"})")
                 .find("\"ok\":false"),
             std::string::npos);
   EXPECT_EQ(server->reload_failure_streak(), 1u);
@@ -246,8 +248,9 @@ TEST(ServeResilience, FailedReloadRetriesWithCappedBackoff) {
 
 TEST(ServeResilience, TornArchiveFailsCleanlyAndOldFileStillLoads) {
   const std::string good =
-      ::testing::TempDir() + "/hpcp_resilience_archive.txt";
-  ASSERT_TRUE(fixture().model.save_file_checked(good).has_value());
+      ::testing::TempDir() + "/hpcp_resilience_archive.hpcp";
+  ASSERT_TRUE(
+      registry::write_model_archive(good, fixture().model, {}).has_value());
   // Simulate a crash mid-write: a torn copy is a strict prefix of the
   // archive bytes.
   std::ifstream in(good, std::ios::binary);
@@ -255,14 +258,18 @@ TEST(ServeResilience, TornArchiveFailsCleanlyAndOldFileStillLoads) {
   bytes << in.rdbuf();
   const std::string full = bytes.str();
   const std::string torn_path =
-      ::testing::TempDir() + "/hpcp_resilience_torn.txt";
+      ::testing::TempDir() + "/hpcp_resilience_torn.hpcp";
   std::ofstream torn(torn_path, std::ios::binary | std::ios::trunc);
   torn.write(full.data(),
              static_cast<std::streamsize>(full.size() / 2));
   torn.close();
 
-  EXPECT_FALSE(TwoLevelModel::load_file_checked(torn_path).has_value());
-  EXPECT_TRUE(TwoLevelModel::load_file_checked(good).has_value());
+  const auto torn_archive = registry::ModelArchive::open(torn_path);
+  EXPECT_FALSE(torn_archive.has_value() &&
+               torn_archive->load_model().has_value());
+  const auto good_archive = registry::ModelArchive::open(good);
+  ASSERT_TRUE(good_archive.has_value());
+  EXPECT_TRUE(good_archive->load_model().has_value());
 
   // A server pointed at the torn file keeps its old model and reports a
   // typed error.

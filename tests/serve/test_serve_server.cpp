@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "src/core/experiment.hpp"
 #include "src/core/two_level_model.hpp"
 #include "src/obs/jsonlite.hpp"
+#include "src/registry/archive.hpp"
 #include "src/serve/server.hpp"
 
 namespace hpcp::serve {
@@ -38,8 +40,9 @@ const Fixture& fixture() {
     out->exp = make_experiment(cfg);
     Rng rng(2);
     out->model.fit(out->exp.problem, rng);
-    out->model_path = ::testing::TempDir() + "/hpcp_serve_model.txt";
-    out->model.save_file(out->model_path);
+    out->model_path = ::testing::TempDir() + "/hpcp_serve_model.hpcp";
+    registry::write_model_archive(out->model_path, out->model, {})
+        .value_or_throw();
     return out;
   }();
   return *f;
@@ -118,11 +121,34 @@ TEST(ServeServer, FailedReloadKeepsTheOldModelServing) {
   const std::string before =
       server->handle_line(predict_line(1, "[64,256]"));
   const std::string response = server->handle_line(
-      R"({"id":"r","cmd":"reload","model":"/nonexistent/model.txt"})");
+      R"({"id":"r","cmd":"reload","model":"/nonexistent/model.hpcp"})");
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(response.find("\"code\":\"io\""), std::string::npos);
   EXPECT_EQ(server->model_version(), 1u);  // version did not bump
   // The old snapshot still answers, byte-identically.
+  EXPECT_EQ(server->handle_line(predict_line(1, "[64,256]")), before);
+}
+
+TEST(ServeServer, TextModelFileIsATypedErrorAndOldModelServes) {
+  // The `.hpcp` archive is the only model format: a text file (here the
+  // head of a hexfloat text model) is rejected by both load paths.
+  const std::string text_path = ::testing::TempDir() + "/hpcp_text_model.txt";
+  std::ofstream(text_path) << "@hpcpredict-two-level-v1\n9 two-level\n0\n";
+  const auto server = make_server();
+  const std::string before =
+      server->handle_line(predict_line(1, "[64,256]"));
+
+  const auto loaded = server->load_model_file(text_path);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.error().code, ErrorCode::BadData);
+
+  const std::string response = server->handle_line(
+      "{\"id\":\"r\",\"cmd\":\"reload\",\"model\":" +
+      obs::json_quote(text_path) + "}");
+  EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"code\":\"bad-data\""), std::string::npos)
+      << response;
+  EXPECT_EQ(server->model_version(), 1u);
   EXPECT_EQ(server->handle_line(predict_line(1, "[64,256]")), before);
 }
 

@@ -4,7 +4,8 @@
 ///   generate  Simulate an execution history for a bundled application and
 ///             write it as CSV (stand-in for exporting a site's logs).
 ///   train     Train the two-level model on a history CSV; optionally save
-///             it to a model file for later prediction. `fit` is an alias.
+///             it as a `.hpcp` model archive for later prediction. `fit`
+///             is an alias.
 ///   predict   Predict target-scale runtimes of query configurations (CSV
 ///             in/out), with optional uncertainty intervals. Trains from
 ///             --history, or loads a previously saved --model.
@@ -206,7 +207,7 @@ int cmd_train(const Args& args) {
   const TwoLevelModel model = train_from_history(args, &param_names);
   if (args.has("save")) {
     const std::string path = args.get("save");
-    model.save_file(path);
+    registry::write_model_archive(path, model, {}).value_or_throw();
     std::cout << "saved model to " << path << '\n';
     // Record the parameter schema next to the model so predict can check it.
     CsvTable schema;
@@ -220,9 +221,12 @@ int cmd_predict(const Args& args) {
   TwoLevelModel model;
   std::vector<std::string> param_names;
   if (args.has("model")) {
-    // Model files sit at a trust boundary: a truncated or corrupt archive
-    // must come back as a clean error message, not a crash.
-    model = TwoLevelModel::load_file_checked(args.get("model"))
+    // Model files sit at a trust boundary: a truncated, corrupt or
+    // non-archive file must come back as a clean error message, not a
+    // crash.
+    model = registry::ModelArchive::open(args.get("model"))
+                .value_or_throw()
+                .load_model()
                 .value_or_throw();
     param_names =
         csv_read_file(args.get("model") + ".schema.csv").header;
