@@ -1,5 +1,6 @@
 /// Pinned-seed forest performance suite: fit (exact vs histogram split
-/// finding), prediction (per-row reference walk vs batched FlatForest), and
+/// finding), prediction (per-row reference walk vs batched FlatForest;
+/// 1-row and 8-row windows on a 100-tree forest), and
 /// the out-of-bag pass, at one and `hardware_concurrency` threads. Also
 /// guards the observability contract: with tracing/metrics off the
 /// instrumented fit path must cost nothing beyond measurement noise (A/A
@@ -16,7 +17,9 @@
 /// Usage: bench_micro_forest [--short] [--json PATH]
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -152,6 +155,14 @@ void write_json(const std::string& path, bool short_mode, std::size_t rows,
   out << "    \"predict_batched_vs_per_row\": " << predict_speedup << ",\n";
   out << "    \"predict_simd_vs_scalar\": " << simd_speedup << "\n";
   out << "  },\n";
+  // Small-window predict cost per row (predict_rows1/8 over all rows).
+  const double per_row = 1e6 / static_cast<double>(rows);
+  out << "  \"per_row_us\": {\n";
+  out << "    \"predict_rows1\": " << find("predict_rows1") * per_row
+      << ",\n";
+  out << "    \"predict_rows8\": " << find("predict_rows8") * per_row
+      << "\n";
+  out << "  },\n";
   // The SIMD ratio is only meaningful when the host resolves a vector
   // ISA; the regression gate skips it (and its --require floor) when
   // config.simd_isa is "scalar".
@@ -278,6 +289,51 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < rows; ++r) {
     if (sink[r] != reference[r]) {
       std::fprintf(stderr, "batched/per-row mismatch at row %zu\n", r);
+      return 1;
+    }
+  }
+
+  // Small windows on a paper-shaped forest (100 unlimited-depth trees, as
+  // at the interpolation level): the serving path's 1-row and 8-row
+  // predicts, where the slot walk keeps every tree of the window in
+  // flight (FlatForest::kInterleaveSlots). Each case is one pass over all
+  // rows; the JSON's per_row_us block divides it by the row count. Both
+  // must reproduce the tree-by-tree batched walk bit for bit.
+  RandomForest paper(forest_options(100, SplitMode::kHistogram, max_bins,
+                                    /*oob=*/false));
+  {
+    Rng rng(7);
+    paper.fit(data.x, data.y, rng, &one_thread);
+  }
+  const std::vector<double> paper_batched = paper.predict(data.x);
+  std::vector<Matrix> windows8;
+  for (std::size_t r0 = 0; r0 < rows; r0 += 8) {
+    Matrix w(std::min<std::size_t>(8, rows - r0), cols);
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+      w.set_row(r, data.x.row(r0 + r));
+    }
+    windows8.push_back(std::move(w));
+  }
+  std::vector<double> rows1(rows);
+  std::vector<double> rows8;
+  cases.push_back(run_case("predict_rows1", predict_reps, [&] {
+    for (std::size_t r = 0; r < rows; ++r) {
+      rows1[r] = paper.predict(data.x.row(r));
+    }
+  }));
+  cases.push_back(run_case("predict_rows8", predict_reps, [&] {
+    rows8.clear();
+    for (const Matrix& w : windows8) {
+      const auto out = paper.predict(w);
+      rows8.insert(rows8.end(), out.begin(), out.end());
+    }
+  }));
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (std::bit_cast<std::uint64_t>(rows1[r]) !=
+            std::bit_cast<std::uint64_t>(paper_batched[r]) ||
+        std::bit_cast<std::uint64_t>(rows8[r]) !=
+            std::bit_cast<std::uint64_t>(paper_batched[r])) {
+      std::fprintf(stderr, "small-window/batched mismatch at row %zu\n", r);
       return 1;
     }
   }

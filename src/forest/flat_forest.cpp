@@ -14,9 +14,10 @@ namespace hpcp {
 
 namespace {
 
-/// Advances one row to its leaf. The traversal step is shared verbatim by
-/// every kernel: go left iff x <= threshold, where a NaN threshold or NaN
-/// feature value compares false and sends the row right.
+/// Advances one row through one tree to its leaf (GBM's per-tree row
+/// prediction). The traversal step is shared verbatim by every kernel: go
+/// left iff x <= threshold, where a NaN threshold or NaN feature value
+/// compares false and sends the row right.
 inline std::int32_t walk_one(const FlatForest::Node* nodes, std::int32_t nd,
                              const double* xd, std::int32_t xbase) {
   while (nodes[nd].feature >= 0) {
@@ -26,14 +27,20 @@ inline std::int32_t walk_one(const FlatForest::Node* nodes, std::int32_t nd,
   return nd;
 }
 
-/// Reference kernel: level-synchronous over the whole row block. Upper
+/// Reference kernel: level-synchronous over the whole slot block. Slot
+/// s = j * n + r is tree roots[j] walking row r, whose features sit at
+/// xd + xbase[s]. Every sweep advances every slot one level, so upper
 /// tree levels stay cache-resident while the rows stream through.
-void walk_scalar(const FlatForest::Node* nodes, const double* xd,
-                 const std::int32_t* xbase, std::int32_t* cur,
-                 std::size_t n) {
+void walk_scalar(const FlatForest::Node* nodes, const std::int32_t* roots,
+                 std::size_t trees, std::size_t n, const double* xd,
+                 const std::int32_t* xbase, std::int32_t* cur) {
+  for (std::size_t j = 0; j < trees; ++j) {
+    std::fill(cur + j * n, cur + (j + 1) * n, roots[j]);
+  }
+  const std::size_t slots = trees * n;
   for (bool active = true; active;) {
     active = false;
-    for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t k = 0; k < slots; ++k) {
       const FlatForest::Node& nd = nodes[cur[k]];
       if (nd.feature < 0) continue;
       cur[k] = nd.left + (xd[xbase[k] + nd.feature] <= nd.threshold ? 0 : 1);
@@ -44,21 +51,21 @@ void walk_scalar(const FlatForest::Node* nodes, const double* xd,
 
 #if defined(__x86_64__) || defined(__i386__)
 
-/// Vector tiers: active-list compaction. The scalar reference revisits
-/// every parked row on every sweep, so an unbalanced tree (unlimited
-/// depth — the production configuration) costs n * max_depth row visits
-/// even though only n * mean_depth of them do work; on measured fitted
-/// forests max_depth is roughly twice mean_depth, i.e. half the scalar
-/// sweeps' visits are wasted. The compaction walk keeps a packed list of
-/// still-active (node, row) entries — node index in the high 32 bits,
-/// row in the low 32 — steps every entry one level per sweep, and writes
-/// survivors back densely, so parked rows are never touched again and
-/// each sweep is a straight streaming pass with branch-free bookkeeping.
-/// The eager survivor test (an entry is appended only while its next
-/// node is internal) keeps the step itself clamp-free: entries are
-/// never leaves.
+/// Vector tiers: active-list compaction over slots. The scalar reference
+/// revisits every parked slot on every sweep, so an unbalanced tree
+/// (unlimited depth — the production configuration) costs n * max_depth
+/// visits even though only n * mean_depth of them do work; on measured
+/// fitted forests max_depth is roughly twice mean_depth, i.e. half the
+/// scalar sweeps' visits are wasted. The compaction walk keeps a packed
+/// list of still-active (node, slot) entries — node index in the high 32
+/// bits, slot in the low 32 — steps every entry one level per sweep, and
+/// writes survivors back densely, so parked slots are never touched
+/// again and each sweep is a straight streaming pass with branch-free
+/// bookkeeping. The eager survivor test (an entry is appended only while
+/// its next node is internal) keeps the step itself clamp-free: entries
+/// are never leaves.
 ///
-/// The compare runs two rows at a time through _mm_cmpnle_pd, whose
+/// The compare runs two entries at a time through _mm_cmpnle_pd, whose
 /// predicate is exactly the scalar `!(x <= thr)` including the NaN
 /// case (unordered compares true, so NaN features and NaN thresholds
 /// send the row right) — that is what keeps the parity contract bitwise.
@@ -69,31 +76,37 @@ void walk_scalar(const FlatForest::Node* nodes, const double* xd,
 /// gather chain serialises at memory latency while independent scalar
 /// loads overlap. The walk is memory-level-parallelism bound, so the
 /// four-entry unroll exists to keep many independent node loads in
-/// flight, not to fill vector lanes.
+/// flight, not to fill vector lanes; a block of several trees (the
+/// small-window case, see FlatForest::kInterleaveSlots) gives the list
+/// trees * n independent chains instead of n.
 ///
-/// Row offsets: the batched predict paths walk contiguous row blocks, so
-/// the kernels fold the offset multiply into the step (kContiguous,
-/// xb = row * d) instead of loading a precomputed table; the out-of-bag
-/// path walks a row subset and passes its offset table explicitly.
+/// Slot offsets: a one-tree block over contiguous rows folds the offset
+/// multiply into the step (kContiguous, xb = slot * d, since slot == row)
+/// instead of loading a table; multi-tree blocks and the out-of-bag row
+/// subset pass a per-slot offset table.
 template <bool kContiguous>
 __attribute__((always_inline)) inline void walk_compact(
-    const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t root,
-    std::int32_t* cur, std::size_t n, std::int64_t* act) {
-  // Every row starts at the root, so the initial active list is either
-  // everything (internal root) or nothing (single-leaf tree, where cur
-  // must still report the root). Rows that leave the list have had their
-  // final leaf written to cur by the step below, so no caller prefill of
-  // cur is needed — batched callers reuse one scratch list across trees
-  // instead of refilling per tree.
-  if (nodes[root].feature < 0) {
-    std::fill(cur, cur + n, root);
-    return;
-  }
-  std::size_t m = n;
-  for (std::size_t k = 0; k < n; ++k) {
-    act[k] = static_cast<std::int64_t>(root) << 32 |
-             static_cast<std::uint32_t>(k);
+    const FlatForest::Node* nodes, const std::int32_t* roots,
+    std::size_t trees, std::size_t n, const double* xd,
+    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
+    std::int64_t* act) {
+  // Seed the active list from each slot's own root. A single-leaf tree
+  // parks its slots at once (cur must still report the root); slots
+  // that leave the list later have had their final leaf written to cur
+  // by the step below, so no caller prefill of cur is needed — batched
+  // callers reuse one scratch list across blocks.
+  std::size_t m = 0;
+  for (std::size_t j = 0; j < trees; ++j) {
+    const std::int32_t root = roots[j];
+    const std::size_t s0 = j * n;
+    if (nodes[root].feature < 0) {
+      std::fill(cur + s0, cur + s0 + n, root);
+      continue;
+    }
+    for (std::size_t s = s0; s < s0 + n; ++s) {
+      act[m++] = static_cast<std::int64_t>(root) << 32 |
+                 static_cast<std::uint32_t>(s);
+    }
   }
   while (m) {
     std::size_t w = 0;
@@ -167,13 +180,14 @@ __attribute__((always_inline)) inline void walk_compact(
 
 /// Baseline x86-64 tier (SSE2 is architectural there).
 __attribute__((target("sse2"))) void walk_sse2(
-    const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t root,
-    std::int32_t* cur, std::size_t n, std::int64_t* act) {
+    const FlatForest::Node* nodes, const std::int32_t* roots,
+    std::size_t trees, std::size_t n, const double* xd,
+    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
+    std::int64_t* act) {
   if (xbase == nullptr) {
-    walk_compact<true>(nodes, xd, nullptr, d, root, cur, n, act);
+    walk_compact<true>(nodes, roots, trees, n, xd, nullptr, d, cur, act);
   } else {
-    walk_compact<false>(nodes, xd, xbase, d, root, cur, n, act);
+    walk_compact<false>(nodes, roots, trees, n, xd, xbase, d, cur, act);
   }
 }
 
@@ -182,32 +196,37 @@ __attribute__((target("sse2"))) void walk_sse2(
 /// It shares the 128-bit pairwise compare deliberately — see the
 /// walk_compact comment for why wider formulations measured slower.
 __attribute__((target("avx2"))) void walk_avx2(
-    const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t root,
-    std::int32_t* cur, std::size_t n, std::int64_t* act) {
+    const FlatForest::Node* nodes, const std::int32_t* roots,
+    std::size_t trees, std::size_t n, const double* xd,
+    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
+    std::int64_t* act) {
   if (xbase == nullptr) {
-    walk_compact<true>(nodes, xd, nullptr, d, root, cur, n, act);
+    walk_compact<true>(nodes, roots, trees, n, xd, nullptr, d, cur, act);
   } else {
-    walk_compact<false>(nodes, xd, xbase, d, root, cur, n, act);
+    walk_compact<false>(nodes, roots, trees, n, xd, xbase, d, cur, act);
   }
 }
 
 #endif  // x86
 
-/// Row offsets as int32 indices; the size guard in the predict entry
-/// points bounds rows*cols, so the cast cannot truncate.
-std::vector<std::int32_t> make_xbase(std::size_t n, std::size_t d) {
-  std::vector<std::int32_t> xbase(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    xbase[r] = static_cast<std::int32_t>(r * d);
+/// Per-slot row offsets for a block of `trees` trees over n contiguous
+/// rows of width d: slot j * n + r reads row r. int32 indices; the size
+/// guard in check_matrix bounds rows*cols, so the cast cannot truncate.
+std::vector<std::int32_t> make_xbase(std::size_t trees, std::size_t n,
+                                     std::size_t d) {
+  std::vector<std::int32_t> xbase(trees * n);
+  for (std::size_t j = 0; j < trees; ++j) {
+    for (std::size_t r = 0; r < n; ++r) {
+      xbase[j * n + r] = static_cast<std::int32_t>(r * d);
+    }
   }
   return xbase;
 }
 
 /// The scalar reference takes a precomputed offset table; the vector
-/// tiers compute contiguous offsets themselves (walk_compact's
-/// kContiguous path), so batched callers skip building the table when a
-/// vector tier resolved.
+/// tiers compute contiguous offsets themselves on one-tree blocks
+/// (walk_compact's kContiguous path), so batched callers skip building
+/// the table when a vector tier resolved and the block is one tree.
 bool kernel_needs_xbase(ForestIsa isa) {
 #if defined(__x86_64__) || defined(__i386__)
   return isa == ForestIsa::kScalar;
@@ -294,23 +313,27 @@ FlatForest FlatForest::from_nodes(
   return flat;
 }
 
-void FlatForest::check_width(std::size_t width) const {
-  HPCP_REQUIRE(width >= min_width_, "feature width mismatch");
+void FlatForest::check_matrix(const Matrix& x) const {
+  HPCP_REQUIRE(x.cols() >= min_width_, "feature width mismatch");
+  HPCP_REQUIRE(x.data().size() <=
+                   static_cast<std::size_t>(
+                       (std::numeric_limits<std::int32_t>::max)()),
+               "matrix too large for flat traversal");
 }
 
-void FlatForest::walk_tree(std::size_t t, const double* xd,
-                           const std::int32_t* xbase, std::int32_t d,
-                           std::int32_t* cur, std::size_t n, ForestIsa isa,
-                           std::int64_t* act) const {
+void FlatForest::walk_block(std::size_t t0, std::size_t trees, std::size_t n,
+                            const double* xd, const std::int32_t* xbase,
+                            std::int32_t d, std::int32_t* cur, ForestIsa isa,
+                            std::int64_t* act) const {
   const Node* nodes = nodes_.data();
-  const std::int32_t root = roots_[t];
+  const std::int32_t* roots = roots_.data() + t0;
   switch (isa) {
 #if defined(__x86_64__) || defined(__i386__)
     case ForestIsa::kAvx2:
-      walk_avx2(nodes, xd, xbase, d, root, cur, n, act);
+      walk_avx2(nodes, roots, trees, n, xd, xbase, d, cur, act);
       return;
     case ForestIsa::kSse2:
-      walk_sse2(nodes, xd, xbase, d, root, cur, n, act);
+      walk_sse2(nodes, roots, trees, n, xd, xbase, d, cur, act);
       return;
 #else
     case ForestIsa::kAvx2:
@@ -319,42 +342,49 @@ void FlatForest::walk_tree(std::size_t t, const double* xd,
     case ForestIsa::kScalar:
       break;
   }
-  // kernel_needs_xbase guarantees xbase is populated on this path; the
-  // reference sweep revisits parked rows, so it needs every cur slot
-  // seeded with the root up front.
-  std::fill(cur, cur + n, root);
-  walk_scalar(nodes, xd, xbase, cur, n);
+  // kernel_needs_xbase guarantees xbase is populated on this path.
+  walk_scalar(nodes, roots, trees, n, xd, xbase, cur);
   (void)d;
   (void)act;
 }
 
-std::vector<double> FlatForest::predict_mean(const Matrix& x) const {
-  HPCP_REQUIRE(!empty(), "predict before build");
-  check_width(x.cols());
-  HPCP_REQUIRE(x.data().size() <=
-                   static_cast<std::size_t>(
-                       (std::numeric_limits<std::int32_t>::max)()),
-               "matrix too large for flat traversal");
+template <class Sink>
+void FlatForest::walk_rows(const Matrix& x, Sink&& sink) const {
   const std::size_t n = x.rows();
-  const auto d = static_cast<std::int32_t>(x.cols());
-  const double* xd = x.data().data();
+  const std::size_t trees = num_trees();
+  // The block rule: a small window walks the whole forest as one block,
+  // a large batch one tree at a time (see kInterleaveSlots).
+  const std::size_t block = n * trees <= kInterleaveSlots ? trees : 1;
   const ForestIsa isa = resolve_forest_isa();
   std::vector<std::int32_t> xbase;
-  if (kernel_needs_xbase(isa)) xbase = make_xbase(n, x.cols());
-  const std::int32_t* xb = xbase.empty() ? nullptr : xbase.data();
-  // One active-list scratch buffer shared by every tree's walk; the
-  // vector kernels seed it (and cur) themselves, so there is no per-tree
-  // refill here.
-  std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : n);
-  std::int64_t* ap = act.empty() ? nullptr : act.data();
-  std::vector<double> acc(n, 0.0);
-  std::vector<std::int32_t> cur(n);
-  for (std::size_t t = 0; t < num_trees(); ++t) {
-    walk_tree(t, xd, xb, d, cur.data(), n, isa, ap);
-    for (std::size_t r = 0; r < n; ++r) acc[r] += nodes_[cur[r]].threshold;
+  if (block > 1 || kernel_needs_xbase(isa)) {
+    xbase = make_xbase(block, n, x.cols());
   }
+  // One active-list scratch buffer shared by every block's walk; the
+  // vector kernels seed it (and cur) themselves, so there is no
+  // per-block refill here.
+  std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : block * n);
+  std::vector<std::int32_t> cur(block * n);
+  for (std::size_t t = 0; t < trees; t += block) {
+    walk_block(t, block, n, x.data().data(),
+               xbase.empty() ? nullptr : xbase.data(),
+               static_cast<std::int32_t>(x.cols()), cur.data(), isa,
+               act.empty() ? nullptr : act.data());
+    for (std::size_t j = 0; j < block; ++j) sink(cur.data() + j * n);
+  }
+}
+
+std::vector<double> FlatForest::predict_mean(const Matrix& x) const {
+  HPCP_REQUIRE(!empty(), "predict before build");
+  check_matrix(x);
+  std::vector<double> acc(x.rows(), 0.0);
+  walk_rows(x, [&](const std::int32_t* leaves) {
+    for (std::size_t r = 0; r < acc.size(); ++r) {
+      acc[r] += nodes_[leaves[r]].threshold;
+    }
+  });
   // Divide (don't multiply by a reciprocal): bitwise identical to the
-  // per-row reference walk, which the parity tests require.
+  // per-tree reference walk, which the parity tests require.
   const auto trees = static_cast<double>(num_trees());
   for (auto& v : acc) v /= trees;
   return acc;
@@ -363,54 +393,24 @@ std::vector<double> FlatForest::predict_mean(const Matrix& x) const {
 void FlatForest::predict_moments(const Matrix& x, std::span<double> sum,
                                  std::span<double> sum_sq) const {
   HPCP_REQUIRE(!empty(), "predict before build");
-  check_width(x.cols());
+  check_matrix(x);
   HPCP_REQUIRE(sum.size() == x.rows() && sum_sq.size() == x.rows(),
                "moment spans must match row count");
-  HPCP_REQUIRE(x.data().size() <=
-                   static_cast<std::size_t>(
-                       (std::numeric_limits<std::int32_t>::max)()),
-               "matrix too large for flat traversal");
-  const std::size_t n = x.rows();
-  const auto d = static_cast<std::int32_t>(x.cols());
-  const double* xd = x.data().data();
-  const ForestIsa isa = resolve_forest_isa();
-  std::vector<std::int32_t> xbase;
-  if (kernel_needs_xbase(isa)) xbase = make_xbase(n, x.cols());
-  const std::int32_t* xb = xbase.empty() ? nullptr : xbase.data();
   std::fill(sum.begin(), sum.end(), 0.0);
   std::fill(sum_sq.begin(), sum_sq.end(), 0.0);
-  std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : n);
-  std::int64_t* ap = act.empty() ? nullptr : act.data();
-  std::vector<std::int32_t> cur(n);
-  for (std::size_t t = 0; t < num_trees(); ++t) {
-    walk_tree(t, xd, xb, d, cur.data(), n, isa, ap);
-    for (std::size_t r = 0; r < n; ++r) {
-      const double p = nodes_[cur[r]].threshold;
+  walk_rows(x, [&](const std::int32_t* leaves) {
+    for (std::size_t r = 0; r < sum.size(); ++r) {
+      const double p = nodes_[leaves[r]].threshold;
       sum[r] += p;
       sum_sq[r] += p * p;
     }
-  }
-}
-
-void FlatForest::predict_row_moments(std::span<const double> features,
-                                     double& sum, double& sum_sq) const {
-  HPCP_REQUIRE(!empty(), "predict before build");
-  check_width(features.size());
-  sum = 0.0;
-  sum_sq = 0.0;
-  for (std::size_t t = 0; t < num_trees(); ++t) {
-    const std::int32_t nd =
-        walk_one(nodes_.data(), roots_[t], features.data(), 0);
-    const double p = nodes_[static_cast<std::size_t>(nd)].threshold;
-    sum += p;
-    sum_sq += p * p;
-  }
+  });
 }
 
 double FlatForest::predict_tree_row(std::size_t t,
                                     std::span<const double> features) const {
   HPCP_REQUIRE(t < num_trees(), "tree index out of range");
-  check_width(features.size());
+  HPCP_REQUIRE(features.size() >= min_width_, "feature width mismatch");
   const std::int32_t nd =
       walk_one(nodes_.data(), roots_[t], features.data(), 0);
   return nodes_[static_cast<std::size_t>(nd)].threshold;
@@ -420,14 +420,9 @@ void FlatForest::predict_tree_rows(std::size_t t, const Matrix& x,
                                    std::span<const std::size_t> rows,
                                    std::span<double> out) const {
   HPCP_REQUIRE(t < num_trees(), "tree index out of range");
-  check_width(x.cols());
+  check_matrix(x);
   HPCP_REQUIRE(out.size() == rows.size(), "output span must match row list");
-  HPCP_REQUIRE(x.data().size() <=
-                   static_cast<std::size_t>(
-                       (std::numeric_limits<std::int32_t>::max)()),
-               "matrix too large for flat traversal");
   const std::size_t d = x.cols();
-  const double* xd = x.data().data();
   // Non-contiguous row subset: every kernel takes the offset table here.
   std::vector<std::int32_t> xbase(rows.size());
   for (std::size_t k = 0; k < rows.size(); ++k) {
@@ -436,8 +431,9 @@ void FlatForest::predict_tree_rows(std::size_t t, const Matrix& x,
   const ForestIsa isa = resolve_forest_isa();
   std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : rows.size());
   std::vector<std::int32_t> cur(rows.size());
-  walk_tree(t, xd, xbase.data(), static_cast<std::int32_t>(d), cur.data(),
-            rows.size(), isa, act.empty() ? nullptr : act.data());
+  walk_block(t, 1, rows.size(), x.data().data(), xbase.data(),
+             static_cast<std::int32_t>(d), cur.data(), isa,
+             act.empty() ? nullptr : act.data());
   for (std::size_t k = 0; k < rows.size(); ++k) {
     out[k] = nodes_[static_cast<std::size_t>(cur[k])].threshold;
   }
@@ -446,22 +442,17 @@ void FlatForest::predict_tree_rows(std::size_t t, const Matrix& x,
 void FlatForest::accumulate_tree(std::size_t t, const Matrix& x, double scale,
                                  std::span<double> acc) const {
   HPCP_REQUIRE(t < num_trees(), "tree index out of range");
-  check_width(x.cols());
+  check_matrix(x);
   HPCP_REQUIRE(acc.size() == x.rows(), "accumulator must match row count");
-  HPCP_REQUIRE(x.data().size() <=
-                   static_cast<std::size_t>(
-                       (std::numeric_limits<std::int32_t>::max)()),
-               "matrix too large for flat traversal");
   const std::size_t n = x.rows();
-  const auto d = static_cast<std::int32_t>(x.cols());
-  const double* xd = x.data().data();
   const ForestIsa isa = resolve_forest_isa();
   std::vector<std::int32_t> xbase;
-  if (kernel_needs_xbase(isa)) xbase = make_xbase(n, x.cols());
+  if (kernel_needs_xbase(isa)) xbase = make_xbase(1, n, x.cols());
   std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : n);
   std::vector<std::int32_t> cur(n);
-  walk_tree(t, xd, xbase.empty() ? nullptr : xbase.data(), d, cur.data(), n,
-            isa, act.empty() ? nullptr : act.data());
+  walk_block(t, 1, n, x.data().data(), xbase.empty() ? nullptr : xbase.data(),
+             static_cast<std::int32_t>(x.cols()), cur.data(), isa,
+             act.empty() ? nullptr : act.data());
   for (std::size_t r = 0; r < n; ++r) {
     acc[r] += scale * nodes_[cur[r]].threshold;
   }

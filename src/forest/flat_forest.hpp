@@ -22,23 +22,40 @@
 /// A leaf stores its prediction in the threshold slot (feature < 0), so
 /// the hot loop touches a single array.
 ///
-/// Batched prediction walks *all rows level-by-level*: every pass
-/// advances every still-active row one level, so the upper tree levels —
-/// shared by all rows — stay cache-resident while the row block streams
-/// through. The walk ships as three bitwise-identical kernels selected at
+/// Prediction walks *slots*: a slot is one (tree, row) pair, and one
+/// kernel advances every still-active slot of a block by one level per
+/// sweep. The block rule (kInterleaveSlots):
+///   - a small window (n_rows * num_trees <= 4096 — a serving window of
+///     1-8 rows over a 100-tree forest) walks the whole forest as one
+///     block, so all of a row's trees are in flight together;
+///   - a large batch (training's predict_curves, the OOB pass, the
+///     forest micro-bench) walks one tree at a time over the row block,
+///     so the upper tree levels, shared by all rows, stay cache-resident
+///     while the rows stream through.
+/// Why the small-window block pays: each tree walk is a chain of
+/// dependent node loads, and a fitted 5-scale, 100-tree, unlimited-depth
+/// model on a history of a thousand configurations packs to many times
+/// the L2, so every level of a lone chain waits out a cache miss. A
+/// row's trees are independent chains; interleaving them keeps many
+/// misses in flight at once (memory-level parallelism). DESIGN.md
+/// §Performance records the measured layer and end-to-end gains.
+/// Leaf values are summed per row in tree order whatever the block, so
+/// every prediction is bitwise identical to the per-tree reference walk.
+///
+/// The walk ships as three bitwise-identical kernels selected at
 /// runtime per batch (forest_isa.hpp; `HPCP_FOREST_ISA` forces a tier):
 /// a scalar reference that sweeps the whole block, and SSE2/AVX2 tiers
-/// that keep a compacted active list of (node, row) entries so rows
+/// that keep a compacted active list of (node, slot) entries so slots
 /// already parked at a leaf are never revisited — on unbalanced
-/// unlimited-depth trees that halves the visit count, which is where the
-/// measured speedup comes from (see flat_forest.cpp for the kernel
-/// anatomy and the rejected alternatives, hardware gathers included).
-/// Parity is a contract, not an aspiration: the parity suite and bench
-/// compare scalar vs SIMD predictions bit for bit, NaN thresholds
-/// included.
+/// unlimited-depth trees that halves the visit count (see
+/// flat_forest.cpp for the kernel anatomy and the rejected alternatives,
+/// hardware gathers included). Parity is a contract, not an aspiration:
+/// the parity suite and bench compare scalar vs SIMD predictions bit for
+/// bit, NaN thresholds included.
 ///
 /// RandomForest and GradientBoostedTrees build a FlatForest after fitting
-/// and route predict / predict_stats / OOB / staged prediction through it;
+/// and route predict / predict_stats / OOB / staged prediction through it
+/// (a single-row predict is a 1-row batch of the same kernel);
 /// the node-based trees remain the canonical fitted representation (and the
 /// serialization format).
 
@@ -57,6 +74,10 @@ class FlatForest {
     std::int32_t left = -1;
   };
   static_assert(sizeof(Node) == 16, "traversal node must pack to 16 bytes");
+
+  /// Block rule: a batch of n rows walks all trees as one block when
+  /// n * num_trees() is at most this many slots, else one tree at a time.
+  static constexpr std::size_t kInterleaveSlots = 4096;
 
   FlatForest() = default;
 
@@ -90,11 +111,7 @@ class FlatForest {
   void predict_moments(const Matrix& x, std::span<double> sum,
                        std::span<double> sum_sq) const;
 
-  /// Scalar path: sum and sum-of-squares over trees for one feature vector.
-  void predict_row_moments(std::span<const double> features, double& sum,
-                           double& sum_sq) const;
-
-  /// Prediction of tree t for one feature vector.
+  /// Prediction of tree t for one feature vector (GBM's scalar path).
   [[nodiscard]] double predict_tree_row(std::size_t t,
                                         std::span<const double> features) const;
 
@@ -110,22 +127,30 @@ class FlatForest {
                        std::span<double> acc) const;
 
  private:
-  void check_width(std::size_t width) const;
+  /// Width and size guards shared by the batched entry points.
+  void check_matrix(const Matrix& x) const;
   void append_tree(std::span<const RegressionTree::Node> nodes);
 
-  /// Walks rows through tree t, leaving every cur[k] at its leaf; the
-  /// kernels seed the traversal from the tree root themselves, so cur
-  /// needs no prefill by the caller. Row k's features sit at
-  /// xd + xbase[k] when an offset table is given; a null xbase means the
-  /// rows are contiguous (offset k * d) and is only valid for the vector
+  /// Walks the slots of trees [t0, t0 + trees) over n rows, leaving
+  /// cur[j * n + r] at the leaf tree t0 + j reaches for row r; the
+  /// kernels seed every slot from its own tree's root, so cur needs no
+  /// prefill by the caller. Slot s's features sit at xd + xbase[s] when
+  /// an offset table is given; a null xbase means a one-tree block over
+  /// contiguous rows (offset s * d) and is only valid for the vector
   /// tiers — the scalar reference always takes the table
   /// (kernel_needs_xbase in flat_forest.cpp). `act` is the vector tiers'
-  /// active-list scratch (>= n entries, reusable across trees); it may
-  /// be null for the scalar tier.
-  void walk_tree(std::size_t t, const double* xd,
-                 const std::int32_t* xbase, std::int32_t d,
-                 std::int32_t* cur, std::size_t n, ForestIsa isa,
-                 std::int64_t* act) const;
+  /// active-list scratch (>= trees * n entries, reusable across blocks);
+  /// it may be null for the scalar tier.
+  void walk_block(std::size_t t0, std::size_t trees, std::size_t n,
+                  const double* xd, const std::int32_t* xbase,
+                  std::int32_t d, std::int32_t* cur, ForestIsa isa,
+                  std::int64_t* act) const;
+
+  /// Walks every (tree, row) slot of x in blocks chosen by the block
+  /// rule and calls sink(leaves) once per tree, in tree order, with that
+  /// tree's x.rows() leaf node indices.
+  template <class Sink>
+  void walk_rows(const Matrix& x, Sink&& sink) const;
 
   std::vector<Node> nodes_;
   std::vector<std::int32_t> roots_;  ///< tree t's nodes: [roots_[t], roots_[t+1])

@@ -141,12 +141,21 @@ bool RandomForest::warm_fit(const RandomForest& prior, const Matrix& x,
   return true;
 }
 
+namespace {
+
+/// A feature vector as a 1-row batch: single-row predicts run the same
+/// slot walk as windows and training batches.
+Matrix one_row(std::span<const double> features) {
+  Matrix x(1, features.size());
+  x.set_row(0, features);
+  return x;
+}
+
+}  // namespace
+
 double RandomForest::predict(std::span<const double> features) const {
   HPCP_REQUIRE(fitted(), "predict before fit");
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  flat_.predict_row_moments(features, sum, sum_sq);
-  return sum / static_cast<double>(trees_.size());
+  return flat_.predict_mean(one_row(features))[0];
 }
 
 std::vector<double> RandomForest::predict(const Matrix& x) const {
@@ -159,7 +168,7 @@ RandomForest::PredictionStats RandomForest::predict_stats(
   HPCP_REQUIRE(fitted(), "predict before fit");
   double sum = 0.0;
   double sum_sq = 0.0;
-  flat_.predict_row_moments(features, sum, sum_sq);
+  flat_.predict_moments(one_row(features), {&sum, 1}, {&sum_sq, 1});
   const auto t = static_cast<double>(trees_.size());
   const double mean = sum / t;
   const double var = std::max(0.0, sum_sq / t - mean * mean);

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -129,7 +130,11 @@ void drain_reads(Conn& c, FaultInjector* faults, std::size_t max_line) {
     std::size_t want = sizeof(buf);
     if (faults != nullptr && faults->enabled()) {
       if (faults->read_disconnects()) {
-        c.saw_eof = true;
+        // The peer vanishes, as after a real RST: nothing more is read
+        // or answered. Treating it as EOF instead would serve the torn
+        // fragment a short read left in the assembler as a final line
+        // and answer a request the client never sent.
+        c.dead = true;
         c.reason = "injected-disconnect";
         return;
       }
@@ -440,6 +445,14 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
             ::close(cfd);
             continue;
           }
+          // Each window's responses leave in one send per connection, so
+          // Nagle's algorithm has nothing to coalesce. Against a client
+          // with delayed ACKs it would instead hold a reply computed while
+          // the previous one is unacknowledged until the client's next
+          // request (or its 40 ms delayed-ACK timer) carried that ACK.
+          const int nodelay = 1;
+          ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                       sizeof(nodelay));
           Conn c;
           c.fd = cfd;
           c.id = next_id++;

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -63,6 +66,39 @@ TEST(FlatForest, ScalarPredictMatchesBatched) {
   const auto batched = forest.predict(data.x);
   for (std::size_t r = 0; r < data.x.rows(); ++r) {
     EXPECT_EQ(forest.predict(data.x.row(r)), batched[r]);
+  }
+}
+
+TEST(FlatForest, SingleRowEntryPointsEqualBatchedRowsBitwise) {
+  // predict(span) and predict_stats are 1-row calls of the slot walk;
+  // they must reproduce the batched walk of any window holding the row,
+  // whole-forest block (n * 100 <= 4096) or tree by tree (n = 41).
+  const auto data = make_data(200, 3, 64);
+  RandomForest forest({.num_trees = 100, .compute_oob = false});
+  Rng rng(65);
+  forest.fit(data.x, data.y, rng);
+  const double trees = static_cast<double>(forest.num_trees());
+  for (std::size_t n : {1u, 2u, 3u, 7u, 40u, 41u}) {
+    Matrix x(n, data.x.cols());
+    for (std::size_t r = 0; r < n; ++r) x.set_row(r, data.x.row(r * 3));
+    const auto batched = forest.predict(x);
+    std::vector<double> sum(n), sum_sq(n);
+    forest.flat().predict_moments(x, sum, sum_sq);
+    for (std::size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(forest.predict(x.row(r))),
+                std::bit_cast<std::uint64_t>(batched[r]))
+          << "n=" << n << " row " << r;
+      const auto stats = forest.predict_stats(x.row(r));
+      const double mean = sum[r] / trees;
+      const double sd =
+          std::sqrt(std::max(0.0, sum_sq[r] / trees - mean * mean));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(stats.mean),
+                std::bit_cast<std::uint64_t>(mean))
+          << "n=" << n << " row " << r;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(stats.stddev),
+                std::bit_cast<std::uint64_t>(sd))
+          << "n=" << n << " row " << r;
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -263,6 +264,90 @@ TEST(ForestIsa, RaggedWidthForestParity) {
   EXPECT_EQ(flat.min_feature_width(), 7u);
   const Matrix x = random_matrix(rng, 33, 7, 0.0);
   expect_bitwise_parity(flat, x);
+}
+
+/// The per-tree reference for the slot walk: every tree walked on its
+/// own (FlatForest::predict_tree_row), leaves summed per row in tree
+/// order — the order every block shape must reproduce.
+void expect_matches_per_tree_reference(const FlatForest& flat,
+                                       const Matrix& x) {
+  const auto trees = static_cast<double>(flat.num_trees());
+  std::vector<double> ref_sum(x.rows(), 0.0), ref_sq(x.rows(), 0.0);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t t = 0; t < flat.num_trees(); ++t) {
+      const double p = flat.predict_tree_row(t, x.row(r));
+      ref_sum[r] += p;
+      ref_sq[r] += p * p;
+    }
+  }
+  for (const char* isa : {"scalar", "sse2", "avx2"}) {
+    const IsaGuard guard(isa);
+    const auto mean = flat.predict_mean(x);
+    std::vector<double> sum(x.rows()), sq(x.rows());
+    flat.predict_moments(x, sum, sq);
+    ASSERT_EQ(mean.size(), x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      ASSERT_EQ(bits(mean[r]), bits(ref_sum[r] / trees))
+          << "isa=" << isa << " n=" << x.rows() << " row " << r;
+      ASSERT_EQ(bits(sum[r]), bits(ref_sum[r]))
+          << "isa=" << isa << " n=" << x.rows() << " row " << r;
+      ASSERT_EQ(bits(sq[r]), bits(ref_sq[r]))
+          << "isa=" << isa << " n=" << x.rows() << " row " << r;
+    }
+  }
+}
+
+/// Adversarial forest of mixed shapes: NaN-threshold random trees of
+/// varying depth, deep chains, single-leaf trees and stumps, in an order
+/// that interleaves them within one slot block.
+FlatForest mixed_forest(Rng& rng, std::size_t trees, std::size_t features) {
+  std::vector<Nodes> nodes;
+  for (std::size_t t = 0; t < trees; ++t) {
+    switch (t % 5) {
+      case 0:
+        nodes.push_back(random_tree(rng, 3 + t % 9, features, 0.2));
+        break;
+      case 1:
+        nodes.push_back(deep_chain(4 + t % 23, features));
+        break;
+      case 2:
+        nodes.push_back({leaf(0.5 * static_cast<double>(t))});
+        break;
+      case 3:
+        nodes.push_back({split(static_cast<int>(t % features), 0.0, 1, 2),
+                         leaf(-1.0), leaf(1.0)});
+        break;
+      default:
+        nodes.push_back(random_tree(rng, 12, features, 0.0));
+        break;
+    }
+  }
+  return FlatForest::from_nodes(nodes);
+}
+
+TEST(ForestIsa, SlotWalkMatchesPerTreeReferenceForSmallWindows) {
+  // 100 trees, as at the paper's interpolation level: every n here but
+  // 41 walks the whole forest as one slot block (n * 100 <= 4096).
+  Rng rng(96);
+  const FlatForest flat = mixed_forest(rng, 100, 4);
+  for (std::size_t n : {1u, 2u, 3u, 7u, 40u, 41u}) {
+    const Matrix x = random_matrix(rng, n, 4, 0.1);
+    expect_matches_per_tree_reference(flat, x);
+    expect_bitwise_parity(flat, x);
+  }
+}
+
+TEST(ForestIsa, SlotWalkParityOnBothSidesOfTheBlockRule) {
+  static_assert(FlatForest::kInterleaveSlots == 4096);
+  Rng rng(97);
+  // 16 x 256 = 4096 slots: one whole-forest block. 17 x 241 = 4097: one
+  // tree at a time.
+  for (const auto& [trees, n] :
+       {std::pair<std::size_t, std::size_t>{16, 256}, {17, 241}}) {
+    const FlatForest flat = mixed_forest(rng, trees, 3);
+    const Matrix x = random_matrix(rng, n, 3, 0.05);
+    expect_matches_per_tree_reference(flat, x);
+  }
 }
 
 TEST(ForestIsa, MalformedTreesAreRejectedNotTraversed) {

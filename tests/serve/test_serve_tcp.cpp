@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -78,6 +80,7 @@ class Client {
   ~Client() { close(); }
 
   [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] int fd() const { return fd_; }
 
   void send(const std::string& text) {
     const char* p = text.data();
@@ -263,6 +266,91 @@ TEST(ServeTcp, LifecycleLogNamesTheEndReason) {
   EXPECT_NE(log.find("connection opened"), std::string::npos);
   EXPECT_NE(log.find("connection closed (eof)"), std::string::npos) << log;
   EXPECT_NE(log.find("connection closed (shutdown)"), std::string::npos);
+}
+
+TEST(ServeTcp, PipelinedRepliesDoNotWaitForDelayedAcks) {
+  // A client that sends without Nagle but acknowledges with delayed ACKs
+  // (the Linux default) pipelines 120 requests as 60 pairs, the second
+  // request of a pair 100 us after the first, so the daemon answers them
+  // in separate windows and the second reply is ready while the first is
+  // still unacknowledged. With Nagle's algorithm on the daemon's socket
+  // that reply sits in the send queue until the client acknowledges the
+  // first — and the client, waiting for both replies before it sends
+  // again, has no request to carry that ACK, so the reply leaves at the
+  // client's 40 ms delayed-ACK timer: on Linux a third or more of the
+  // pairs stall so. A pair waits for both replies, so a slow (sanitizer)
+  // build cannot build up a backlog; a few slow pairs are allowed for a
+  // loaded host's scheduling.
+  Listener listener;
+  Client client(listener.port());
+  ASSERT_TRUE(client.connected());
+  int one = 1;
+  ::setsockopt(client.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kPairs = 60;
+  std::size_t stalled = 0;
+  double slowest_ms = 0.0;
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    const auto start = Clock::now();
+    client.send(predict_line(2 * p) + "\n");
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    client.send(predict_line(2 * p + 1) + "\n");
+    for (int k = 0; k < 2; ++k) {
+      const std::string response = client.recv_line();
+      ASSERT_NE(response.find("\"ok\":true"), std::string::npos)
+          << "pair " << p << ": " << response;
+    }
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    stalled += ms > 30.0 ? 1 : 0;
+    slowest_ms = std::max(slowest_ms, ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(stalled, 3u) << stalled << " of " << kPairs
+                         << " pairs waited on the client's delayed ACK "
+                            "(slowest "
+                         << slowest_ms << " ms)";
+  client.close();
+  listener.shutdown();
+  listener.join();
+}
+
+TEST(ServeTcp, AcceptedConnectionsDisableNagle) {
+  // The timing test above shows the symptom only when the kernel's ACK
+  // scheduling cooperates; this pins the cause. The listener runs in this
+  // process, so the accepted socket is the descriptor whose peer is the
+  // client's local address.
+  Listener listener;
+  Client client(listener.port());
+  ASSERT_TRUE(client.connected());
+  client.send(predict_line(0) + "\n");
+  ASSERT_NE(client.recv_line().find("\"ok\":true"), std::string::npos);
+  sockaddr_in local{};
+  socklen_t len = sizeof(local);
+  ASSERT_EQ(::getsockname(client.fd(), reinterpret_cast<sockaddr*>(&local),
+                          &len),
+            0);
+  int accepted = -1;
+  for (int fd = 0; fd < 1024 && accepted < 0; ++fd) {
+    if (fd == client.fd()) continue;
+    sockaddr_in peer{};
+    socklen_t plen = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &plen) == 0 &&
+        peer.sin_family == AF_INET && peer.sin_port == local.sin_port &&
+        peer.sin_addr.s_addr == local.sin_addr.s_addr) {
+      accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "accepted socket not found";
+  int nodelay = 0;
+  socklen_t nlen = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &nlen),
+            0);
+  EXPECT_NE(nodelay, 0);
+  client.close();
+  listener.shutdown();
+  listener.join();
 }
 
 }  // namespace

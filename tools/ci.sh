@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local/hosted CI: a release build plus an ASan/UBSan build, each running
-# the full test suite, followed by bench smokes, the bench-regression
+# the full test suite, a TSan build running the threaded tiers, bench
+# smokes, the bench-regression
 # gate, observability guards, and CLI-level determinism checks (train and
 # serve). The hosted matrix (.github/workflows/ci.yml) reuses these stages
 # verbatim via --only.
@@ -8,7 +9,7 @@
 # Usage: tools/ci.sh [--skip-sanitizers] [--only STAGE]
 #                    [--build-dir-prefix PREFIX] [--artifact-dir DIR]
 #   STAGE  one of: release bench obs trace serve registry scrape chaos
-#          ingest cli asan
+#          ingest cli asan tsan
 #   PREFIX build tree prefix, default "build-ci-" (trees land at
 #          <repo>/<prefix><name>; keep it matching .gitignore's build-*/)
 #   DIR    where bench/trace/metrics JSONs are written, default
@@ -63,11 +64,12 @@ stage_release() {
   run_matrix_entry release -DCMAKE_BUILD_TYPE=Release -DHPCP_WERROR=ON
   # Lifetime races at process exit (a pool worker touching a singleton
   # that static destruction already tore down) crash a test only now and
-  # then, after it printed PASSED. Twenty passes of the unit tier make
-  # such a regression show up instead of flaking.
-  echo "=== [release] test (unit, repeated until failure, 20x) ==="
-  ctest --test-dir "${release_dir}" --output-on-failure -j"${jobs}" -L unit \
-    --repeat until-fail:20
+  # then, after it printed PASSED. Twenty passes of the unit and
+  # determinism tiers (the latter drives the pool hardest, at several
+  # widths) make such a regression show up instead of flaking.
+  echo "=== [release] test (unit+determinism, repeated until failure, 20x) ==="
+  ctest --test-dir "${release_dir}" --output-on-failure -j"${jobs}" \
+    -L 'unit|determinism' --repeat until-fail:20
 }
 
 stage_asan() {
@@ -78,6 +80,24 @@ stage_asan() {
   run_matrix_entry asan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     "-DHPCP_SANITIZE=address;undefined"
+}
+
+# ThreadSanitizer over the tiers that run threads: the pool-backed unit
+# tests (the ingest loop's background retrains among them — test_ingest
+# carries the unit label), the epoll server and its concurrent clients
+# (serve) and the seeded fault scenarios (chaos). A reported race fails
+# the test (halt_on_error); it is fixed in the program, never suppressed.
+stage_tsan() {
+  local dir="${repo_root}/${build_prefix}tsan"
+  echo "=== [tsan] configure ==="
+  cmake -B "${dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DHPCP_SANITIZE=thread
+  echo "=== [tsan] build ==="
+  cmake --build "${dir}" -j"${jobs}"
+  echo "=== [tsan] test (unit+serve+chaos) ==="
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir "${dir}" --output-on-failure -j"${jobs}" \
+    -L 'unit|serve|chaos'
 }
 
 # Bench smoke + regression gate: run every pinned-seed suite in --short
@@ -949,10 +969,10 @@ run_stage() {
 
 if [[ -n "${only_stage}" ]]; then
   case "${only_stage}" in
-    release|bench|obs|trace|serve|registry|scrape|chaos|ingest|cli|asan)
+    release|bench|obs|trace|serve|registry|scrape|chaos|ingest|cli|asan|tsan)
       run_stage "${only_stage}" ;;
     *) echo "unknown stage: ${only_stage} (expected release|bench|obs|" \
-            "trace|serve|registry|scrape|chaos|ingest|cli|asan)" >&2
+            "trace|serve|registry|scrape|chaos|ingest|cli|asan|tsan)" >&2
        exit 2 ;;
   esac
   echo "=== stage ${only_stage} passed ==="
@@ -971,5 +991,6 @@ run_stage ingest
 run_stage cli
 if [[ "${skip_san}" -eq 0 ]]; then
   run_stage asan
+  run_stage tsan
 fi
 echo "=== CI matrix passed ==="
