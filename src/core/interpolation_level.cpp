@@ -73,13 +73,11 @@ std::size_t InterpolationLevel::fit(const ExtrapolationProblem& problem,
 
 std::vector<double> InterpolationLevel::predict_curve(
     std::span<const double> params) const {
-  HPCP_REQUIRE(fitted(), "predict before fit");
-  std::vector<double> curve(forests_.size());
-  for (std::size_t s = 0; s < forests_.size(); ++s) {
-    const double raw = forests_[s].predict(params);
-    curve[s] = log_target_ ? std::exp(raw) : raw;
-  }
-  return curve;
+  Matrix config(1, params.size());
+  config.set_row(0, params);
+  const Matrix curves = predict_curves(config);
+  const auto curve = curves.row(0);
+  return {curve.begin(), curve.end()};
 }
 
 InterpolationLevel::CurveWithSpread InterpolationLevel::predict_curve_stats(

@@ -50,7 +50,9 @@ class InterpolationLevel {
                   ThreadPool* pool = nullptr,
                   const InterpolationLevel* warm = nullptr);
 
-  /// Predicted small-scale runtime curve (one value per small scale).
+  /// Predicted small-scale runtime curve (one value per small scale): row
+  /// 0 of predict_curves over a one-row matrix, so it equals the batched
+  /// path's row bit for bit.
   [[nodiscard]] std::vector<double> predict_curve(
       std::span<const double> params) const;
 

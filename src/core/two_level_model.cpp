@@ -164,14 +164,6 @@ std::size_t TwoLevelModel::num_calibration_points() const noexcept {
   return n;
 }
 
-std::vector<double> TwoLevelModel::predict_scaling_curve(
-    std::span<const double> params,
-    std::span<const std::size_t> scales) const {
-  HPCP_REQUIRE(extrapolation_.fitted(), "predict before fit");
-  const auto curve = interpolation_.predict_curve(params);
-  return predict_curve_at_scales(curve, scales);
-}
-
 std::vector<double> TwoLevelModel::predict_curve_at_scales(
     std::span<const double> small_curve,
     std::span<const std::size_t> scales) const {
@@ -200,14 +192,9 @@ std::vector<double> TwoLevelModel::predict(
     std::span<const double> measured_small_times) const {
   const obs::Span span("twolevel.predict");
   obs::count("twolevel.predictions");
-  const auto curve = small_scale_curve(params, measured_small_times);
-  auto pred = extrapolation_.predict(curve, extrapolation_.target_scales());
-  const double factor =
-      calibration_factor(extrapolation_.assign_cluster(curve));
-  if (factor != 1.0) {
-    for (auto& v : pred) v *= factor;
-  }
-  return pred;
+  return predict_curve_at_scales(
+      small_scale_curve(params, measured_small_times),
+      extrapolation_.target_scales());
 }
 
 void TwoLevelModel::save(Serializer& s) const {
@@ -258,10 +245,10 @@ std::vector<PredictionInterval> TwoLevelModel::predict_with_uncertainty(
 
   const auto stats = interpolation_.predict_curve_stats(params);
   const auto& targets = extrapolation_.target_scales();
-  auto point = extrapolation_.predict(stats.curve, targets);
+  const auto point = predict_curve_at_scales(stats.curve, targets);
+  // Every sample keeps the unperturbed curve's cluster factor.
   const double factor =
       calibration_factor(extrapolation_.assign_cluster(stats.curve));
-  for (auto& v : point) v *= factor;
   const std::size_t m = opts_.uncertainty_samples;
   const std::size_t k = stats.curve.size();
 

@@ -122,20 +122,16 @@ class TwoLevelModel final : public ExtrapolationModel {
       std::span<const double> params,
       std::span<const double> measured_small_times) const;
 
-  /// Fitted scalability curve of a configuration evaluated at arbitrary
-  /// scales (not just the configured targets) — for plotting speedup
-  /// curves or sweeping candidate job widths. Calibration is applied.
-  [[nodiscard]] std::vector<double> predict_scaling_curve(
-      std::span<const double> params,
-      std::span<const std::size_t> scales) const;
-
-  /// Level-2 half of predict_scaling_curve for an *already predicted*
-  /// small-scale curve: cluster assignment, calibration, and the fitted
-  /// scalability model evaluated at `scales`. The prediction server's
-  /// batched hot path obtains many curves in one
-  /// InterpolationLevel::predict_curves call and finishes each row here;
-  /// predict_scaling_curve(params, scales) is bitwise-equal to
-  /// predict_curve_at_scales(predict_curve(params), scales).
+  /// The one calibrated level-2 step, for an already predicted small-scale
+  /// curve: cluster assignment, calibration, and the fitted scalability
+  /// model evaluated at `scales` (any scales, not just the configured
+  /// targets — for speedup curves or sweeping candidate job widths).
+  /// predict() and the point estimate of predict_with_uncertainty() end
+  /// here; the prediction server's batched hot path obtains many curves in
+  /// one InterpolationLevel::predict_curves call and finishes each row
+  /// here. predict(params) is bitwise-equal to
+  /// predict_curve_at_scales(interpolation().predict_curve(params),
+  /// extrapolation().target_scales()).
   [[nodiscard]] std::vector<double> predict_curve_at_scales(
       std::span<const double> small_curve,
       std::span<const std::size_t> scales) const;

@@ -127,12 +127,13 @@ Expected<CandidateFit> fit_candidate(std::span<const LogEntry> entries,
 double holdout_mape(const TwoLevelModel& model, const Matrix& configs,
                     std::span<const double> actual, std::size_t scale) {
   const std::size_t scales[1] = {scale};
+  // The server's batched path: one level-1 call, level 2 per row.
+  const Matrix curves = model.interpolation().predict_curves(configs);
   double sum = 0.0;
   std::size_t n = 0;
   for (std::size_t r = 0; r < configs.rows(); ++r) {
     if (actual[r] <= 0.0) continue;
-    const double pred =
-        model.predict_scaling_curve(configs.row(r), scales)[0];
+    const double pred = model.predict_curve_at_scales(curves.row(r), scales)[0];
     sum += std::abs(pred - actual[r]) / actual[r];
     ++n;
   }

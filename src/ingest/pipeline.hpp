@@ -29,7 +29,9 @@
 ///      from the previous promoted candidate's forest structure.
 ///
 /// Shadow gate (shadow_retrain): candidate and incumbent both predict the
-/// holdout scale through predict_scaling_curve; the candidate is promoted
+/// holdout scale through the server's batched path (one
+/// InterpolationLevel::predict_curves call, then
+/// TwoLevelModel::predict_curve_at_scales per row); the candidate is promoted
 /// only when its holdout MAPE is strictly better — a tie keeps the
 /// incumbent. With no usable incumbent the candidate bootstraps the tenant
 /// ("no-incumbent"). Every attempt yields a PromoteRecord for the log.

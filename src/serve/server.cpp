@@ -4,7 +4,6 @@
 #include <chrono>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "src/linear/matrix.hpp"
@@ -64,6 +63,10 @@ LineRead read_line_bounded(std::istream& in, std::string* line,
       int d = c;
       while (d != kEofCh && d != '\n') d = buf->sbumpc();
       if (d == kEofCh) in.setstate(std::ios::eofbit);
+      // The kept prefix is never looked at; release it so a window of
+      // over-long lines holds no line bytes.
+      line->clear();
+      line->shrink_to_fit();
       return LineRead::kTooLong;
     }
     line->push_back(static_cast<char>(c));
@@ -233,7 +236,7 @@ std::uint64_t Server::model_version() const {
 
 std::optional<Request> Server::enqueue(const std::string& line,
                                        std::vector<Pending>* batch) {
-  Pending pending;  // Stopwatch starts here, when the line arrives
+  Pending pending;  // Stopwatch starts here, when the window takes the line
   ErrorInfo err;
   if (!parse_request(line, &pending.req, &err)) {
     pending.trace.code = err.code;
@@ -524,19 +527,6 @@ void Server::resolve(std::vector<Pending>* batch) {
   }
 }
 
-void Server::flush(std::vector<Pending>* batch, std::ostream& out) {
-  if (batch->empty()) return;
-  resolve(batch);
-  for (const Pending& p : *batch) out << p.response << '\n';
-  out.flush();
-  // The stream loop's transport is the ostream: a successful flush is the
-  // closest analogue of "bytes left the process".
-  for (const Pending& p : *batch) {
-    if (p.trace.id != 0) note_write_drained(p.trace.id);
-  }
-  batch->clear();
-}
-
 Server::BatchOutcome Server::handle_batch(std::span<const BatchLine> lines) {
   poll_reloads();
   BatchOutcome result;
@@ -574,8 +564,8 @@ Server::BatchOutcome Server::handle_batch(std::span<const BatchLine> lines) {
     } else {
       auto control = enqueue(line.text, &batch);
       if (control.has_value()) {
-        // A control command observes everything admitted before it, just
-        // like the stream loop: flush first, then answer.
+        // A control command observes everything admitted before it:
+        // resolve the pending batch first, then answer.
         flush_into();
         result.responses[i] = handle_control(*control);
         if (control->cmd == Request::Cmd::kShutdown) {
@@ -890,69 +880,49 @@ std::string Server::health_json(const std::string& id_json) const {
 
 bool Server::run(std::istream& in, std::ostream& out) {
   const obs::Span span("serve.session");
-  std::vector<Pending> batch;
-  std::string line;
+  std::vector<BatchLine> window;
+  std::size_t requests = 0;  // non-blank lines in `window`
   for (;;) {
     poll_reloads();
+    BatchLine line;
     const LineRead status =
-        read_line_bounded(in, &line, opts_.max_line_bytes);
-    if (status == LineRead::kEof) break;
-    if (status == LineRead::kTooLong) {
-      ++too_large_;
-      obs::count("serve.too_large");
-      Pending pending;
-      pending.trace.code = kErrTooLarge;
-      pending.response = render_error(
-          "", model_version(),
-          {kErrTooLarge,
-           "request line exceeds max_line_bytes=" +
-               std::to_string(opts_.max_line_bytes) + "; line discarded"});
-      batch.push_back(std::move(pending));
-    } else {
-      if (is_blank(line)) continue;
-      auto control = enqueue(line, &batch);
-      if (control.has_value()) {
-        flush(&batch, out);
-        out << handle_control(*control) << '\n';
-        out.flush();
-        if (control->cmd == Request::Cmd::kShutdown) return true;
-        if (!out) return false;
-        continue;
-      }
+        read_line_bounded(in, &line.text, opts_.max_line_bytes);
+    const bool eof = status == LineRead::kEof;
+    if (!eof) {
+      line.too_long = status == LineRead::kTooLong;
+      if (line.too_long || !is_blank(line.text)) ++requests;
+      window.push_back(std::move(line));
+      // Hand the window over when it is full, or as soon as the input
+      // would block — checked after every line, blank ones included, so
+      // an interactive client gets its answer now and a replayed burst
+      // batches.
+      if (requests < opts_.batch_max && in.rdbuf()->in_avail() > 0) continue;
     }
-    // Flush when the batch is full, or as soon as the input would block —
-    // an interactive client gets its answer now, a replayed burst batches.
-    if (batch.size() >= opts_.batch_max || in.rdbuf()->in_avail() <= 0) {
-      flush(&batch, out);
+    if (requests > 0) {
+      const BatchOutcome outcome = handle_batch(window);
+      for (const std::string& response : outcome.responses) {
+        if (!response.empty()) out << response << '\n';
+      }
+      out.flush();
+      // The stream loop's transport is the ostream: a successful flush is
+      // the closest analogue of "bytes left the process".
+      for (const std::uint64_t id : outcome.request_ids) {
+        if (id != 0) note_write_drained(id);
+      }
+      if (outcome.shutdown) return true;
       // A dead output stream means the client is gone (EPIPE, timeout):
       // stop spending compute on responses nobody will read.
       if (!out) return false;
     }
+    if (eof) return false;
+    window.clear();
+    requests = 0;
   }
-  flush(&batch, out);
-  return false;
 }
 
 std::string Server::handle_line(const std::string& line) {
-  if (line.size() > opts_.max_line_bytes) {
-    ++too_large_;
-    obs::count("serve.too_large");
-    note_response(kErrTooLarge);
-    return render_error(
-        "", model_version(),
-        {kErrTooLarge,
-         "request line exceeds max_line_bytes=" +
-             std::to_string(opts_.max_line_bytes) + "; line discarded"});
-  }
-  if (is_blank(line)) return "";
-  std::vector<Pending> batch;
-  auto control = enqueue(line, &batch);
-  if (control.has_value()) return handle_control(*control);
-  std::ostringstream rendered;
-  flush(&batch, rendered);
-  std::string response = rendered.str();
-  if (!response.empty() && response.back() == '\n') response.pop_back();
-  return response;
+  const BatchLine one{line, line.size() > opts_.max_line_bytes};
+  return std::move(handle_batch({&one, 1}).responses.front());
 }
 
 std::uint64_t Server::uptime_ms() const {

@@ -27,14 +27,24 @@
 /// model archive once, then answers `hpcp-serve/1` request lines
 /// (protocol.hpp) until EOF or a shutdown command.
 ///
-/// Request flow: lines are read with a hard byte bound (an over-long line
-/// is discarded and answered with a typed "too-large" error, never
-/// buffered without limit), micro-batched (up to `batch_max`, flushed
-/// early whenever the input would block so interactive clients never wait
-/// on a timer), each batch resolves cache hits, runs the misses through
-/// one batched InterpolationLevel::predict_curves call, fans the per-row
-/// level-2 evaluation out over the worker pool, then renders responses
-/// serially in request order.
+/// One window function: handle_batch is the only code that admits,
+/// resolves and renders request lines. Its transports only gather
+/// windows and write responses back:
+///   - the epoll front-end (tcp.hpp) drains every ready connection into
+///     one window per wake-up;
+///   - run() reads stdio lines with a hard byte bound (an over-long line is
+///     discarded and answered with a typed "too-large" error, never
+///     buffered without limit) and hands a window over as soon as nothing
+///     more is buffered (checked after every line, blank ones included),
+///     at EOF, or at `batch_max` non-blank lines — so an interactive client
+///     never waits on a timer. A synced std::cin reports nothing buffered
+///     on piped input, so CLI stdio windows hold one line each;
+///   - handle_line() is a window of one line.
+/// Inside a window, micro-batches of up to `batch_max` lines resolve cache
+/// hits, run the misses through one batched
+/// InterpolationLevel::predict_curves call, fan the per-row level-2
+/// evaluation (TwoLevelModel::predict_curve_at_scales) out over the worker
+/// pool, then render responses serially in request order.
 ///
 /// Failure model (DESIGN.md "Failure model & degraded modes"):
 ///   - Admission control: at most `max_pending` admitted-but-unanswered
@@ -143,8 +153,9 @@ struct ServeOptions {
 };
 
 /// Process-wide asynchronous reload request, safe to set from a SIGHUP
-/// handler (lock-free atomic store only). Server::run polls and clears it
-/// between batches and reloads from the current model's source path.
+/// handler (lock-free atomic store only). The server polls and clears it
+/// between line reads and at the start of every window, and reloads from
+/// the current model's source path.
 [[nodiscard]] std::atomic<bool>& reload_flag() noexcept;
 
 class Server {
@@ -186,21 +197,21 @@ class Server {
   /// 0 until the first successful load; bumped by every successful reload.
   [[nodiscard]] std::uint64_t model_version() const;
 
-  /// Serves request lines from `in` until EOF, a dead output stream (the
-  /// client vanished), or {"cmd":"shutdown"}; responses go to `out`, one
-  /// line per request, in request order. Returns true iff a shutdown
-  /// command ended the loop.
+  /// Stdio front end of handle_batch: serves request lines from `in` until
+  /// EOF, a dead output stream (the client vanished), or
+  /// {"cmd":"shutdown"}; responses go to `out`, one line per request, in
+  /// request order, flushed after every window. Returns true iff a
+  /// shutdown command ended the loop.
   bool run(std::istream& in, std::ostream& out);
 
-  /// Processes exactly one request line (a batch of one) and returns its
-  /// response line — byte-identical to what run() would emit. Test/bench
-  /// entry point; shutdown is acknowledged but only run() loops can stop.
+  /// handle_batch over the single line `line` (too long when it exceeds
+  /// max_line_bytes); returns its response, or "" for a blank line.
+  /// Shutdown is acknowledged but only run() loops can stop.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
   /// One transport line submitted to handle_batch. `too_long` marks a line
   /// the transport already discarded for exceeding max_line_bytes; its
-  /// text is ignored and a typed "too-large" error is rendered, exactly as
-  /// run() does for an over-long stdio line.
+  /// text is ignored and a typed "too-large" error is rendered.
   struct BatchLine {
     std::string text;
     bool too_long = false;
@@ -221,15 +232,16 @@ class Server {
     bool shutdown = false;
   };
 
-  /// Serves one window of request lines gathered by a concurrent
-  /// transport: the epoll front-end drains every ready connection into a
-  /// single call, so requests from different connections share micro-
-  /// batches (chunked at batch_max) and one batched predict_curves call
-  /// serves the whole flush window. Admission, control handling, and
-  /// response bytes are identical to feeding the same lines through
-  /// run() — position in the window is the only thing that matters, so
-  /// per-connection response order and byte-identity are preserved no
-  /// matter how many connections contributed.
+  /// Serves one window of request lines — the one function behind every
+  /// transport. Polls due reloads, then admits lines in order into
+  /// micro-batches (chunked at batch_max); a control command first
+  /// resolves everything admitted before it. The epoll front-end drains
+  /// every ready connection into a single call, so requests from
+  /// different connections share micro-batches and one batched
+  /// predict_curves call serves the whole window. Position in the window
+  /// is the only thing that matters, so per-connection response order and
+  /// byte-identity are preserved no matter how many connections
+  /// contributed.
   [[nodiscard]] BatchOutcome handle_batch(std::span<const BatchLine> lines);
 
   [[nodiscard]] const ServeOptions& options() const noexcept {
@@ -326,7 +338,7 @@ class Server {
     std::string response;  ///< pre-rendered (parse error, shed) when non-empty
     bool admitted = false;  ///< occupies an admission slot
     std::uint64_t arrival_ms = 0;  ///< set when deadlines are enabled
-    obs::Stopwatch watch;  ///< started when the line was read
+    obs::Stopwatch watch;  ///< started when handle_batch takes the line
     RequestTrace trace;    ///< id != 0 once admitted; code set when rendered
   };
 
@@ -348,13 +360,10 @@ class Server {
   [[nodiscard]] std::optional<Request> enqueue(
       const std::string& line, std::vector<Pending>* batch);
 
-  /// Predicts + renders every pending request in order: after resolve()
-  /// every Pending carries its final response line. Shared by the stream
-  /// loop (flush) and the window entry point (handle_batch).
+  /// Predicts + renders every pending request of one handle_batch
+  /// micro-batch in order: after resolve() every Pending carries its final
+  /// response line.
   void resolve(std::vector<Pending>* batch);
-
-  /// resolve() + emit to `out`, one line per request, then clear.
-  void flush(std::vector<Pending>* batch, std::ostream& out);
 
   /// Ping / health / reload / stats / trace-dump / shutdown responses.
   [[nodiscard]] std::string handle_control(const Request& req);

@@ -96,7 +96,8 @@ TEST(Calibration, AppliesToUncertaintyAndScalingCurve) {
   const auto params = exp.test.configs.row(1);
 
   const double before_curve =
-      model.predict_scaling_curve(params, std::vector<std::size_t>{256})[0];
+      model.predict_curve_at_scales(model.interpolation().predict_curve(params),
+                                    std::vector<std::size_t>{256})[0];
   const double before_interval =
       model.predict_with_uncertainty(params)[3].value;
 
@@ -107,7 +108,8 @@ TEST(Calibration, AppliesToUncertaintyAndScalingCurve) {
   // factor 2^(1/3).
   const double factor = std::exp(std::log(2.0) / 3.0);
   const double after_curve =
-      model.predict_scaling_curve(params, std::vector<std::size_t>{256})[0];
+      model.predict_curve_at_scales(model.interpolation().predict_curve(params),
+                                    std::vector<std::size_t>{256})[0];
   const auto after_interval = model.predict_with_uncertainty(params)[3];
   EXPECT_NEAR(after_curve, factor * before_curve,
               factor * before_curve * 1e-9);
@@ -136,8 +138,8 @@ TEST(ScalingCurve, MatchesTargetPredictionsAtTargetScales) {
   model.fit(exp.problem, rng);
   const auto params = exp.test.configs.row(2);
   const auto targets = model.predict(params);
-  const auto curve =
-      model.predict_scaling_curve(params, exp.problem.target_scales);
+  const auto curve = model.predict_curve_at_scales(
+      model.interpolation().predict_curve(params), exp.problem.target_scales);
   ASSERT_EQ(curve.size(), targets.size());
   for (std::size_t t = 0; t < targets.size(); ++t) {
     EXPECT_NEAR(curve[t], targets[t], targets[t] * 1e-9);
@@ -150,8 +152,8 @@ TEST(ScalingCurve, EvaluatesAtArbitraryScales) {
   Rng rng(7);
   model.fit(exp.problem, rng);
   const std::vector<std::size_t> scales{20, 48, 100, 300};
-  const auto curve =
-      model.predict_scaling_curve(exp.test.configs.row(0), scales);
+  const auto curve = model.predict_curve_at_scales(
+      model.interpolation().predict_curve(exp.test.configs.row(0)), scales);
   ASSERT_EQ(curve.size(), 4u);
   for (const double v : curve) EXPECT_GT(v, 0.0);
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "src/core/experiment.hpp"
@@ -157,6 +159,60 @@ TEST(TwoLevelModel, UncertaintyIsDeterministicPerInput) {
   for (std::size_t t = 0; t < a.size(); ++t) {
     EXPECT_DOUBLE_EQ(a[t].lower, b[t].lower);
     EXPECT_DOUBLE_EQ(a[t].upper, b[t].upper);
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(TwoLevelModel, PredictEntryPointsAgreeBitwiseBeforeAndAfterCalibration) {
+  const auto exp = make_experiment(small_config());
+  TwoLevelModel model;
+  Rng rng(30);
+  model.fit(exp.problem, rng);
+  const auto& targets = model.extrapolation().target_scales();
+  const auto check = [&](const char* stage) {
+    for (std::size_t i = 0; i < exp.test.size(); ++i) {
+      const auto row = exp.test.configs.row(i);
+      const auto point = model.predict(row, {});
+      const auto staged = model.predict_curve_at_scales(
+          model.interpolation().predict_curve(row), targets);
+      const auto intervals = model.predict_with_uncertainty(row);
+      ASSERT_EQ(staged.size(), point.size());
+      ASSERT_EQ(intervals.size(), point.size());
+      for (std::size_t t = 0; t < point.size(); ++t) {
+        EXPECT_TRUE(same_bits(staged[t], point[t]))
+            << stage << " row " << i << " target " << t;
+        EXPECT_TRUE(same_bits(intervals[t].value, point[t]))
+            << stage << " row " << i << " target " << t;
+      }
+    }
+  };
+  check("uncalibrated");
+  const auto row0 = exp.test.configs.row(0);
+  const double before = model.predict(row0, {}).back();
+  model.calibrate(row0, targets.back(), 1.5 * before);
+  model.calibrate(exp.test.configs.row(1), targets.front(),
+                  0.8 * model.predict(exp.test.configs.row(1), {}).front());
+  ASSERT_NE(model.predict(row0, {}).back(), before);
+  check("calibrated");
+}
+
+TEST(TwoLevelModel, SingleRowCurveEqualsBatchedRowsBitwise) {
+  const auto exp = make_experiment(small_config());
+  TwoLevelModel model;
+  Rng rng(31);
+  model.fit(exp.problem, rng);
+  const Matrix curves = model.interpolation().predict_curves(exp.test.configs);
+  for (std::size_t i = 0; i < exp.test.size(); ++i) {
+    const auto curve =
+        model.interpolation().predict_curve(exp.test.configs.row(i));
+    ASSERT_EQ(curve.size(), curves.cols());
+    for (std::size_t s = 0; s < curve.size(); ++s) {
+      EXPECT_TRUE(same_bits(curve[s], curves(i, s)))
+          << "row " << i << " scale " << s;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.hpp"
@@ -221,6 +222,167 @@ TEST(ServeServer, StatsReportsCacheCounters) {
   EXPECT_NE(stats.find("\"requests\":2"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"cache_hits\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"cache_capacity\":128"), std::string::npos);
+}
+
+/// Delivers `chunk` in one read. The next read is where a pipe would
+/// block: it records whether `out` already holds a response, then reports
+/// EOF.
+class OneChunkThenBlock final : public std::streambuf {
+ public:
+  OneChunkThenBlock(std::string chunk, const std::ostringstream* out)
+      : chunk_(std::move(chunk)), out_(out) {}
+  [[nodiscard]] bool blocked() const noexcept { return blocked_; }
+  [[nodiscard]] bool answered_before_block() const noexcept {
+    return answered_;
+  }
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (!delivered_) {
+      delivered_ = true;
+      setg(chunk_.data(), chunk_.data(), chunk_.data() + chunk_.size());
+      return traits_type::to_int_type(chunk_.front());
+    }
+    if (!blocked_) {
+      blocked_ = true;
+      answered_ = !out_->str().empty();
+    }
+    return traits_type::eof();
+  }
+
+ private:
+  std::string chunk_;
+  const std::ostringstream* out_;
+  bool delivered_ = false;
+  bool blocked_ = false;
+  bool answered_ = false;
+};
+
+TEST(ServeServer, ChunkEndingInABlankLineIsAnsweredBeforeTheNextRead) {
+  const auto server = make_server();
+  std::ostringstream out;
+  OneChunkThenBlock chunk(predict_line(0, "[64]") + "\n\n", &out);
+  std::istream in(&chunk);
+  EXPECT_FALSE(server->run(in, out));
+  ASSERT_TRUE(chunk.blocked());
+  EXPECT_TRUE(chunk.answered_before_block())
+      << "the response waited behind a read that would block";
+  EXPECT_EQ(out.str(),
+            make_server()->handle_line(predict_line(0, "[64]")) + "\n");
+}
+
+/// The three entry points over one line, each ending in handle_batch.
+std::string run_one(Server& server, const std::string& line) {
+  std::istringstream in(line + "\n");
+  std::ostringstream out;
+  (void)server.run(in, out);
+  std::string response = out.str();
+  if (!response.empty() && response.back() == '\n') response.pop_back();
+  return response;
+}
+
+std::string handle_line_one(Server& server, const std::string& line) {
+  return server.handle_line(line);
+}
+
+std::string handle_batch_one(Server& server, const std::string& line) {
+  const Server::BatchLine one{
+      line, line.size() > server.options().max_line_bytes};
+  return server.handle_batch({&one, 1}).responses.at(0);
+}
+
+/// The per-code response counters of the server's stats snapshot.
+std::string code_counters(const Server& server) {
+  const std::string stats = server.render_stats_json();
+  const auto begin = stats.find("\"responses\":");
+  return stats.substr(begin, stats.find('}', begin) - begin + 1);
+}
+
+/// A frozen clock keeps uptime and the rolling windows equal across the
+/// servers each entry point runs on.
+ServeOptions parity_options() {
+  return {.max_line_bytes = 1024, .clock_ms = [] { return std::uint64_t{7}; }};
+}
+
+TEST(ServeServer, EntryPointsAnswerEveryLineKindAlike) {
+  struct Kind {
+    const char* name;
+    std::vector<std::string> setup;
+    std::string probe;
+  };
+  const std::string predict = predict_line(0, "[64]");
+  const std::vector<Kind> kinds = {
+      {"ok predict", {}, predict},
+      {"cached predict", {predict}, predict},
+      {"malformed", {}, "{{{"},
+      {"width mismatch", {}, R"({"id":9,"params":[1.0],"scales":[64]})"},
+      {"too long", {}, "{\"params\":[" + std::string(2048, '1') + "]}"},
+      {"blank", {}, " \t"},
+      {"ping", {predict}, R"({"id":1,"cmd":"ping"})"},
+      {"health", {predict}, R"({"id":2,"cmd":"health"})"},
+      {"stats", {predict}, R"({"id":3,"cmd":"stats"})"},
+  };
+  using EntryPoint = std::string (*)(Server&, const std::string&);
+  const std::vector<std::pair<const char*, EntryPoint>> entry_points = {
+      {"run", run_one},
+      {"handle_line", handle_line_one},
+      {"handle_batch", handle_batch_one}};
+  for (const Kind& kind : kinds) {
+    std::vector<std::string> responses;
+    std::vector<std::string> counters;
+    for (const auto& [name, serve] : entry_points) {
+      const auto server = make_server(parity_options());
+      for (const std::string& line : kind.setup) (void)serve(*server, line);
+      std::string response = serve(*server, kind.probe);
+      // Latency quantiles and slow-log stamps are wall time.
+      if (std::string(kind.name) == "stats") {
+        response = response.substr(0, response.find(",\"windows\":"));
+      }
+      responses.push_back(response);
+      counters.push_back(code_counters(*server));
+    }
+    for (std::size_t e = 1; e < entry_points.size(); ++e) {
+      EXPECT_EQ(responses[e], responses[0])
+          << kind.name << ": " << entry_points[e].first << " vs run";
+      EXPECT_EQ(counters[e], counters[0])
+          << kind.name << ": " << entry_points[e].first << " vs run";
+    }
+    EXPECT_EQ(responses[0].empty(), std::string(kind.name) == "blank")
+        << kind.name;
+  }
+}
+
+TEST(ServeServer, ShutdownMidWindowStopsEveryEntryPointAlike) {
+  const std::vector<std::string> lines = {predict_line(0, "[64]"),
+                                          R"({"id":"s","cmd":"shutdown"})",
+                                          predict_line(1, "[64]")};
+  const auto ran = make_server(parity_options());
+  std::istringstream in(lines[0] + "\n" + lines[1] + "\n" + lines[2] + "\n");
+  std::ostringstream out;
+  EXPECT_TRUE(ran->run(in, out));
+
+  const auto batched = make_server(parity_options());
+  std::vector<Server::BatchLine> window;
+  for (const std::string& line : lines) window.push_back({line, false});
+  const Server::BatchOutcome outcome = batched->handle_batch(window);
+  EXPECT_TRUE(outcome.shutdown);
+  EXPECT_EQ(outcome.consumed, 2u);  // the line after shutdown is untouched
+  ASSERT_EQ(outcome.responses.size(), 2u);
+
+  const auto single = make_server(parity_options());
+  const std::string singles = single->handle_line(lines[0]) + "\n" +
+                              single->handle_line(lines[1]) + "\n";
+
+  const std::string batched_text =
+      outcome.responses[0] + "\n" + outcome.responses[1] + "\n";
+  EXPECT_EQ(out.str(), batched_text);
+  EXPECT_EQ(singles, batched_text);
+  EXPECT_NE(batched_text.find("\"cmd\":\"shutdown\""), std::string::npos);
+  for (const Server* server : {ran.get(), batched.get(), single.get()}) {
+    EXPECT_EQ(server->requests_served(), 1u);
+    EXPECT_EQ(code_counters(*server), code_counters(*ran));
+  }
 }
 
 /// The determinism contract, in-process: one replay, many configurations.
