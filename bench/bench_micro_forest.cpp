@@ -31,6 +31,7 @@
 #include "bench/bench_common.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/forest/binning.hpp"
 #include "src/forest/flat_forest.hpp"
 #include "src/forest/forest_isa.hpp"
 #include "src/forest/random_forest.hpp"
@@ -41,6 +42,7 @@ namespace {
 
 using hpcp::Matrix;
 using hpcp::RandomForest;
+using hpcp::RegressionTree;
 using hpcp::Rng;
 using hpcp::SplitMode;
 using hpcp::ThreadPool;
@@ -82,17 +84,44 @@ hpcp::ForestOptions forest_options(std::size_t trees, SplitMode mode,
   return opts;
 }
 
-/// The seed's per-row prediction path: walk every pointer-style tree for
-/// every row. The batched case runs the same forest through FlatForest.
-std::vector<double> predict_per_row(const RandomForest& forest,
+/// The predict cases' forest, grown as standalone trees exactly as
+/// RandomForest::fit grows a histogram forest (one forked Rng and
+/// bootstrap sample per tree, feature bins shared), plus the FlatForest
+/// packed from those same trees.
+struct StandaloneForest {
+  std::vector<RegressionTree> trees;
+  hpcp::FlatForest flat;
+};
+
+StandaloneForest fit_standalone(const Data& data, std::size_t trees,
+                                std::size_t max_bins) {
+  hpcp::TreeOptions opts;
+  opts.split_mode = SplitMode::kHistogram;
+  opts.max_bins = max_bins;
+  const auto bins = hpcp::BinnedMatrix::build(data.x, max_bins);
+  Rng rng(7);
+  StandaloneForest forest;
+  std::vector<std::vector<RegressionTree::Node>> nodes;
+  for (std::size_t t = 0; t < trees; ++t) {
+    Rng tree_rng = rng.fork();
+    const auto sample = tree_rng.bootstrap_indices(data.x.rows());
+    RegressionTree& tree = forest.trees.emplace_back();
+    tree.fit(data.x, data.y, sample, opts, tree_rng, &bins);
+    nodes.push_back(tree.nodes());
+  }
+  forest.flat = hpcp::FlatForest::build(nodes);
+  return forest;
+}
+
+/// The seed's per-row prediction path: walk every node-based tree for
+/// every row. The batched case runs the same trees packed in a FlatForest.
+std::vector<double> predict_per_row(const std::vector<RegressionTree>& trees,
                                     const Matrix& x) {
   std::vector<double> out(x.rows(), 0.0);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     double acc = 0.0;
-    for (std::size_t t = 0; t < forest.num_trees(); ++t) {
-      acc += forest.tree(t).predict(x.row(r));
-    }
-    out[r] = acc / static_cast<double>(forest.num_trees());
+    for (const RegressionTree& tree : trees) acc += tree.predict(x.row(r));
+    out[r] = acc / static_cast<double>(trees.size());
   }
   return out;
 }
@@ -267,23 +296,18 @@ int main(int argc, char** argv) {
     forest.fit(data.x, data.y, rng, &one_thread);
   }));
 
-  RandomForest forest(forest_options(trees, SplitMode::kHistogram, max_bins,
-                                     /*oob=*/false));
-  {
-    Rng rng(7);
-    forest.fit(data.x, data.y, rng, &one_thread);
-  }
+  const StandaloneForest forest = fit_standalone(data, trees, max_bins);
   // Predict cases are sub-millisecond in short mode and low-millisecond
   // in full mode; extra reps cost little and the min-of-reps must
   // converge for the gated simd/scalar ratio to be reproducible.
   const std::size_t predict_reps = short_mode ? 5 : 9;
   std::vector<double> sink;
   cases.push_back(run_case("predict_per_row", predict_reps, [&] {
-    sink = predict_per_row(forest, data.x);
+    sink = predict_per_row(forest.trees, data.x);
   }));
   const std::vector<double> reference = sink;
   cases.push_back(run_case("predict_batched", predict_reps, [&] {
-    sink = forest.predict(data.x);
+    sink = forest.flat.predict_mean(data.x);
   }));
   // Sanity: the fast path must agree with the reference walk bit-for-bit.
   for (std::size_t r = 0; r < rows; ++r) {
@@ -349,7 +373,7 @@ int main(int argc, char** argv) {
   // so frequency drift or steal time on a shared runner moves both sides
   // of a pair together instead of randomly deflating one min. The
   // per-case best-of wall times are still recorded alongside.
-  const hpcp::FlatForest& flat = forest.flat();
+  const hpcp::FlatForest& flat = forest.flat;
   // Short mode's 20-tree predict is ~0.1 ms — below what a steady-clock
   // read measures reliably — so each side times `inner` consecutive
   // calls as one region. The ratio is scale-invariant; the recorded

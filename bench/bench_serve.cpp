@@ -430,7 +430,7 @@ void write_json(const std::string& path, bool short_mode,
   // Observability tax: median on/off wall-clock ratio of the nocache
   // replay; the regression gate caps this with --require-max.
   out << "    \"obs_on_vs_off\": " << obs_on_vs_off << ",\n";
-  // Warm-started candidate fit (prior split structure reused, node values
+  // Warm-started candidate fit (prior split structure reused, leaf values
   // recomputed) vs the cold fit of the same log prefix — the payoff of
   // the continuous-learning warm chain. Gated at >= 1.3x on capable hosts.
   out << "    \"retrain_shadow_vs_cold\": " << retrain_warm_speedup << "\n";

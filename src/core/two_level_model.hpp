@@ -65,7 +65,7 @@ struct TwoLevelFitOptions {
   /// Warm-start source for the interpolation forests: when it matches the
   /// problem (same small scales, feature width, and tree count) each
   /// scale's forest reuses the prior split structure and only recomputes
-  /// node values (RandomForest::warm_fit); mismatched or stale scales fall
+  /// leaf values (RandomForest::warm_fit); mismatched or stale scales fall
   /// back to a cold fit. The extrapolation level always refits from
   /// scratch. Must outlive the fit call; nullptr = fully cold fit.
   const TwoLevelModel* warm_start = nullptr;

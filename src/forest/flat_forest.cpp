@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/common/check.hpp"
+#include "src/common/thread_pool.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -13,6 +14,11 @@
 namespace hpcp {
 
 namespace {
+
+/// Node-count bound that keeps every 32-bit traversal index (node, slot
+/// offset) from overflowing.
+constexpr std::size_t kMaxNodes =
+    static_cast<std::size_t>((std::numeric_limits<std::int32_t>::max)()) / 16;
 
 /// Advances one row through one tree to its leaf (GBM's per-tree row
 /// prediction). The traversal step is shared verbatim by every kernel: go
@@ -257,7 +263,7 @@ void FlatForest::append_tree(std::span<const RegressionTree::Node> tree) {
     if (node.left < 0) {
       packed.threshold = node.value;  // leaf: prediction rides here
     } else {
-      // Corrupt archives reach this path via load(); reject malformed
+      // Corrupt legacy archives reach this path; reject malformed
       // links (out-of-range children, shared subtrees / cycles that
       // would claim more slots than the tree has nodes) instead of
       // scribbling past the packed array.
@@ -280,23 +286,7 @@ void FlatForest::append_tree(std::span<const RegressionTree::Node> tree) {
   roots_.push_back(static_cast<std::int32_t>(nodes_.size()));
 }
 
-FlatForest FlatForest::build(std::span<const RegressionTree> trees) {
-  FlatForest flat;
-  std::size_t total = 0;
-  for (const auto& tree : trees) {
-    HPCP_REQUIRE(tree.fitted(), "cannot flatten an unfitted tree");
-    total += tree.num_nodes();
-  }
-  HPCP_REQUIRE(total < (std::numeric_limits<std::int32_t>::max)() / 16,
-               "ensemble too large for 32-bit traversal indices");
-  flat.nodes_.reserve(total);
-  flat.roots_.reserve(trees.size() + 1);
-  flat.roots_.push_back(0);
-  for (const auto& tree : trees) flat.append_tree(tree.nodes());
-  return flat;
-}
-
-FlatForest FlatForest::from_nodes(
+FlatForest FlatForest::build(
     std::span<const std::vector<RegressionTree::Node>> trees) {
   FlatForest flat;
   std::size_t total = 0;
@@ -304,13 +294,115 @@ FlatForest FlatForest::from_nodes(
     HPCP_REQUIRE(!tree.empty(), "cannot flatten an empty node list");
     total += tree.size();
   }
-  HPCP_REQUIRE(total < (std::numeric_limits<std::int32_t>::max)() / 16,
+  HPCP_REQUIRE(total < kMaxNodes,
                "ensemble too large for 32-bit traversal indices");
   flat.nodes_.reserve(total);
   flat.roots_.reserve(trees.size() + 1);
   flat.roots_.push_back(0);
   for (const auto& tree : trees) flat.append_tree(tree);
   return flat;
+}
+
+FlatForest FlatForest::from_packed(std::vector<Node> nodes,
+                                   std::vector<std::int32_t> roots,
+                                   std::size_t num_features) {
+  HPCP_REQUIRE(nodes.size() < kMaxNodes,
+               "ensemble too large for 32-bit traversal indices");
+  HPCP_REQUIRE(roots.size() >= 2 && roots.front() == 0 &&
+                   static_cast<std::size_t>(roots.back()) == nodes.size(),
+               "packed forest: roots must run from 0 to the node count");
+  FlatForest flat;
+  for (std::size_t t = 0; t + 1 < roots.size(); ++t) {
+    const std::int32_t end = roots[t + 1];
+    HPCP_REQUIRE(roots[t] < end && end <= roots.back(),
+                 "packed forest: roots must ascend");
+    for (std::int32_t i = roots[t]; i < end; ++i) {
+      const Node& node = nodes[static_cast<std::size_t>(i)];
+      if (node.feature < 0) continue;  // leaf
+      // Every step moves strictly forward and stays inside the tree, so
+      // each walk ends at a leaf of its own tree.
+      HPCP_REQUIRE(node.left > i && node.left < end - 1,
+                   "packed forest: child link out of range");
+      HPCP_REQUIRE(static_cast<std::size_t>(node.feature) < num_features,
+                   "packed forest: split feature out of range");
+      flat.min_width_ = std::max(
+          flat.min_width_, static_cast<std::size_t>(node.feature) + 1);
+    }
+  }
+  flat.nodes_ = std::move(nodes);
+  flat.roots_ = std::move(roots);
+  return flat;
+}
+
+void FlatForest::save(Serializer& out) const {
+  std::vector<double> thresholds(nodes_.size());
+  std::vector<std::size_t> links(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    thresholds[i] = nodes_[i].threshold;
+    links[i] = std::uint64_t{static_cast<std::uint32_t>(nodes_[i].left)}
+                   << 32 |
+               static_cast<std::uint32_t>(nodes_[i].feature);
+  }
+  out.write(std::vector<std::size_t>(roots_.begin(), roots_.end()));
+  out.write(thresholds);
+  out.write(links);
+}
+
+FlatForest FlatForest::load(Deserializer& in, std::size_t num_features) {
+  const std::vector<std::size_t> starts = in.read_sizes();
+  const std::vector<double> thresholds = in.read_doubles();
+  const std::vector<std::size_t> links = in.read_sizes();
+  HPCP_REQUIRE(links.size() == thresholds.size(),
+               "packed forest: node blocks differ in length");
+  std::vector<std::int32_t> roots(starts.size());
+  for (std::size_t t = 0; t < starts.size(); ++t) {
+    HPCP_REQUIRE(starts[t] < kMaxNodes, "packed forest: root out of range");
+    roots[t] = static_cast<std::int32_t>(starts[t]);
+  }
+  std::vector<Node> nodes(thresholds.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i] = {thresholds[i],
+                static_cast<std::int32_t>(static_cast<std::uint32_t>(links[i])),
+                static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(links[i] >> 32))};
+  }
+  return from_packed(std::move(nodes), std::move(roots), num_features);
+}
+
+std::optional<FlatForest> FlatForest::refit_leaves(const Matrix& x,
+                                                   std::span<const double> y,
+                                                   ThreadPool* pool) const {
+  HPCP_REQUIRE(!empty(), "refit before build");
+  HPCP_REQUIRE(x.rows() == y.size(), "row count must match target length");
+  FlatForest out = *this;
+  // Trees own disjoint node ranges, so each item writes only its own.
+  const auto covered = parallel_map(
+      num_trees(),
+      [&](std::size_t t) -> char {
+        const std::int32_t root = roots_[t];
+        const auto size = static_cast<std::size_t>(roots_[t + 1] - root);
+        std::vector<std::int32_t> leaf(x.rows());
+        tree_leaves(t, x, leaf);
+        std::vector<double> sum(size, 0.0);
+        std::vector<std::size_t> count(size, 0);
+        for (std::size_t r = 0; r < x.rows(); ++r) {
+          const auto k = static_cast<std::size_t>(leaf[r] - root);
+          sum[k] += y[r];
+          ++count[k];
+        }
+        Node* nodes = out.nodes_.data() + root;
+        for (std::size_t k = 0; k < size; ++k) {
+          if (nodes[k].feature >= 0) continue;
+          if (count[k] == 0) return 0;
+          nodes[k].threshold = sum[k] / static_cast<double>(count[k]);
+        }
+        return 1;
+      },
+      pool);
+  for (const char ok : covered) {
+    if (!ok) return std::nullopt;
+  }
+  return out;
 }
 
 void FlatForest::check_matrix(const Matrix& x) const {
@@ -439,21 +531,27 @@ void FlatForest::predict_tree_rows(std::size_t t, const Matrix& x,
   }
 }
 
-void FlatForest::accumulate_tree(std::size_t t, const Matrix& x, double scale,
-                                 std::span<double> acc) const {
+void FlatForest::tree_leaves(std::size_t t, const Matrix& x,
+                             std::span<std::int32_t> cur) const {
   HPCP_REQUIRE(t < num_trees(), "tree index out of range");
   check_matrix(x);
-  HPCP_REQUIRE(acc.size() == x.rows(), "accumulator must match row count");
   const std::size_t n = x.rows();
+  HPCP_REQUIRE(cur.size() == n, "leaf span must match row count");
   const ForestIsa isa = resolve_forest_isa();
   std::vector<std::int32_t> xbase;
   if (kernel_needs_xbase(isa)) xbase = make_xbase(1, n, x.cols());
   std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : n);
-  std::vector<std::int32_t> cur(n);
   walk_block(t, 1, n, x.data().data(), xbase.empty() ? nullptr : xbase.data(),
              static_cast<std::int32_t>(x.cols()), cur.data(), isa,
              act.empty() ? nullptr : act.data());
-  for (std::size_t r = 0; r < n; ++r) {
+}
+
+void FlatForest::accumulate_tree(std::size_t t, const Matrix& x, double scale,
+                                 std::span<double> acc) const {
+  HPCP_REQUIRE(acc.size() == x.rows(), "accumulator must match row count");
+  std::vector<std::int32_t> cur(x.rows());
+  tree_leaves(t, x, cur);
+  for (std::size_t r = 0; r < cur.size(); ++r) {
     acc[r] += scale * nodes_[cur[r]].threshold;
   }
 }

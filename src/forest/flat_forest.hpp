@@ -1,9 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "src/common/serialize.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/forest/forest_isa.hpp"
 #include "src/forest/tree.hpp"
 #include "src/linear/matrix.hpp"
@@ -53,11 +56,11 @@
 /// the parity suite and bench compare scalar vs SIMD predictions bit for
 /// bit, NaN thresholds included.
 ///
-/// RandomForest and GradientBoostedTrees build a FlatForest after fitting
-/// and route predict / predict_stats / OOB / staged prediction through it
-/// (a single-row predict is a 1-row batch of the same kernel);
-/// the node-based trees remain the canonical fitted representation (and the
-/// serialization format).
+/// It is the only fitted form of RandomForest and GradientBoostedTrees:
+/// they pack their grown trees with build(), drop them, and route predict
+/// / predict_stats / OOB / staged prediction / warm refits through it (a
+/// single-row predict is a 1-row batch of the same kernel); the archive
+/// stores its packed arrays (save/load).
 
 namespace hpcp {
 
@@ -81,14 +84,26 @@ class FlatForest {
 
   FlatForest() = default;
 
-  /// Flatten an ensemble; all trees must be fitted.
-  [[nodiscard]] static FlatForest build(std::span<const RegressionTree> trees);
-
-  /// Builds directly from raw per-tree node lists. Test/fuzz entry point
-  /// for shapes a real fit cannot produce (NaN thresholds, degenerate
-  /// one-leaf trees); semantics identical to build().
-  [[nodiscard]] static FlatForest from_nodes(
+  /// Packs per-tree node lists (RegressionTree::nodes(), root at index 0):
+  /// grown trees, legacy archive records, or test shapes a fit cannot
+  /// produce. Malformed links throw std::invalid_argument.
+  [[nodiscard]] static FlatForest build(
       std::span<const std::vector<RegressionTree::Node>> trees);
+
+  /// Adopts packed arrays from outside (tree t: [roots[t], roots[t+1])),
+  /// validated before anything walks them: roots ascend from 0 to the node
+  /// count; every internal node has `left` past its own index, `left + 1`
+  /// inside its tree (no cycles) and `0 <= feature < num_features`.
+  /// A violation throws std::invalid_argument.
+  [[nodiscard]] static FlatForest from_packed(
+      std::vector<Node> nodes, std::vector<std::int32_t> roots,
+      std::size_t num_features);
+
+  /// Three blocks: roots, thresholds, one link word per node
+  /// (left << 32 | feature). load() adopts them through from_packed().
+  void save(Serializer& out) const;
+  [[nodiscard]] static FlatForest load(Deserializer& in,
+                                       std::size_t num_features);
 
   [[nodiscard]] std::size_t num_trees() const noexcept {
     return roots_.empty() ? 0 : roots_.size() - 1;
@@ -101,6 +116,20 @@ class FlatForest {
   [[nodiscard]] std::size_t min_feature_width() const noexcept {
     return min_width_;
   }
+
+  [[nodiscard]] const std::vector<Node>& nodes() const noexcept {
+    return nodes_;
+  }
+  [[nodiscard]] const std::vector<std::int32_t>& roots() const noexcept {
+    return roots_;
+  }
+
+  /// Warm refit: a copy whose leaves hold the mean target of the (x, y)
+  /// rows reaching them, summed in row order; trees refit in parallel on
+  /// `pool`, identically at any width. nullopt when a leaf gets no rows.
+  [[nodiscard]] std::optional<FlatForest> refit_leaves(
+      const Matrix& x, std::span<const double> y,
+      ThreadPool* pool = nullptr) const;
 
   /// Mean per-tree prediction for every row of x (the ensemble average).
   [[nodiscard]] std::vector<double> predict_mean(const Matrix& x) const;
@@ -130,6 +159,9 @@ class FlatForest {
   /// Width and size guards shared by the batched entry points.
   void check_matrix(const Matrix& x) const;
   void append_tree(std::span<const RegressionTree::Node> nodes);
+  /// Leaf node index tree t reaches for every row of x (cur: x.rows()).
+  void tree_leaves(std::size_t t, const Matrix& x,
+                   std::span<std::int32_t> cur) const;
 
   /// Walks the slots of trees [t0, t0 + trees) over n rows, leaving
   /// cur[j * n + r] at the leaf tree t0 + j reaches for row r; the

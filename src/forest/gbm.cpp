@@ -23,8 +23,8 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
 
   const std::size_t n = x.rows();
   base_prediction_ = mean(y);
-  trees_.clear();
-  trees_.reserve(opts_.num_rounds);
+  std::vector<std::vector<RegressionTree::Node>> rounds;
+  rounds.reserve(opts_.num_rounds);
   train_mse_.clear();
   train_mse_.reserve(opts_.num_rounds);
 
@@ -59,20 +59,20 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
     Rng tree_rng = rng.fork();
     tree.fit(x, residual, rows, opts_.tree, tree_rng, shared_bins);
 
+    rounds.push_back(tree.nodes());
+
     // Staged residual update, batched over all rows via the flat layout.
-    const FlatForest stage = FlatForest::build({&tree, 1});
+    const FlatForest stage = FlatForest::build({&rounds.back(), 1});
     stage.accumulate_tree(0, x, -opts_.learning_rate, residual);
     double mse = 0.0;
     for (std::size_t i = 0; i < n; ++i) mse += residual[i] * residual[i];
     train_mse_.push_back(mse / static_cast<double>(n));
-    trees_.push_back(std::move(tree));
   }
-  flat_ = FlatForest::build(trees_);
-  fitted_ = true;
+  flat_ = FlatForest::build(rounds);
 }
 
 double GradientBoostedTrees::predict(std::span<const double> features) const {
-  HPCP_REQUIRE(fitted_, "predict before fit");
+  HPCP_REQUIRE(fitted(), "predict before fit");
   double acc = base_prediction_;
   for (std::size_t t = 0; t < flat_.num_trees(); ++t) {
     acc += opts_.learning_rate * flat_.predict_tree_row(t, features);
@@ -81,7 +81,7 @@ double GradientBoostedTrees::predict(std::span<const double> features) const {
 }
 
 std::vector<double> GradientBoostedTrees::predict(const Matrix& x) const {
-  HPCP_REQUIRE(fitted_, "predict before fit");
+  HPCP_REQUIRE(fitted(), "predict before fit");
   std::vector<double> out(x.rows(), base_prediction_);
   for (std::size_t t = 0; t < flat_.num_trees(); ++t) {
     flat_.accumulate_tree(t, x, opts_.learning_rate, out);
@@ -91,9 +91,9 @@ std::vector<double> GradientBoostedTrees::predict(const Matrix& x) const {
 
 Matrix GradientBoostedTrees::staged_predict(const Matrix& x,
                                             std::size_t stride) const {
-  HPCP_REQUIRE(fitted_, "predict before fit");
+  HPCP_REQUIRE(fitted(), "predict before fit");
   HPCP_REQUIRE(stride >= 1, "stride must be >= 1");
-  const std::size_t rounds = trees_.size();
+  const std::size_t rounds = flat_.num_trees();
   const std::size_t stages = (rounds + stride - 1) / stride;
   Matrix out(stages, x.rows());
   std::vector<double> acc(x.rows(), base_prediction_);

@@ -17,7 +17,8 @@
 ///
 /// Training bins the feature columns once and shares the bins across all
 /// rounds; each round's residual update and every predict call run batched
-/// on the flattened (FlatForest) tree layout.
+/// on the flattened (FlatForest) tree layout, the ensemble's only fitted
+/// form (each round's tree is packed and dropped).
 
 namespace hpcp {
 
@@ -48,9 +49,9 @@ class GradientBoostedTrees {
   [[nodiscard]] Matrix staged_predict(const Matrix& x,
                                       std::size_t stride = 1) const;
 
-  [[nodiscard]] bool fitted() const noexcept { return fitted_; }
+  [[nodiscard]] bool fitted() const noexcept { return !flat_.empty(); }
   [[nodiscard]] std::size_t num_rounds() const noexcept {
-    return trees_.size();
+    return flat_.num_trees();
   }
   [[nodiscard]] const GbmOptions& options() const noexcept { return opts_; }
 
@@ -61,10 +62,8 @@ class GradientBoostedTrees {
 
  private:
   GbmOptions opts_{};
-  bool fitted_ = false;
   double base_prediction_ = 0.0;
-  std::vector<RegressionTree> trees_;
-  FlatForest flat_;
+  FlatForest flat_;  ///< one packed tree per round, in round order
   std::vector<double> train_mse_;
 };
 

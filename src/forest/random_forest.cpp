@@ -3,12 +3,35 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/check.hpp"
 #include "src/forest/binning.hpp"
 #include "src/obs/obs.hpp"
 
 namespace hpcp {
+
+namespace {
+
+/// Per-tree impurity importances summed in tree order, normalised to sum
+/// to 1 (all-zero if no splits were made).
+std::vector<double> normalised_importance(
+    std::span<const std::vector<double>> per_tree, std::size_t num_features) {
+  std::vector<double> total(num_features, 0.0);
+  for (const auto& imp : per_tree) {
+    HPCP_REQUIRE(imp.size() == num_features,
+                 "tree importance width mismatch");
+    for (std::size_t f = 0; f < num_features; ++f) total[f] += imp[f];
+  }
+  const double sum = std::accumulate(total.begin(), total.end(), 0.0);
+  if (sum > 0.0) {
+    for (auto& v : total) v /= sum;
+  }
+  return total;
+}
+
+}  // namespace
 
 void RandomForest::fit(const Matrix& x, std::span<const double> y, Rng& rng,
                        ThreadPool* pool) {
@@ -27,7 +50,6 @@ void RandomForest::fit(const Matrix& x, std::span<const double> y, Rng& rng,
 
   const std::size_t n = x.rows();
   const std::size_t t = opts_.num_trees;
-  trees_.assign(t, RegressionTree{});
 
   // Quantile-bin the feature columns once and share the bins across all
   // trees (bootstrap samples draw from the same rows, so per-tree binning
@@ -56,14 +78,21 @@ void RandomForest::fit(const Matrix& x, std::span<const double> y, Rng& rng,
     }
   }
 
+  // Grow, flatten, drop: the node-based trees live only until packed.
+  std::vector<std::vector<RegressionTree::Node>> grown(t);
+  std::vector<std::vector<double>> tree_importance(t);
   parallel_for(
       t,
       [&](std::size_t i) {
-        trees_[i].fit(x, y, samples[i], tree_opts, tree_rngs[i], shared_bins);
+        RegressionTree tree;
+        tree.fit(x, y, samples[i], tree_opts, tree_rngs[i], shared_bins);
+        grown[i] = tree.nodes();
+        tree_importance[i] = tree.impurity_importance();
       },
       pool);
-
-  flat_ = FlatForest::build(trees_);
+  flat_ = FlatForest::build(grown);
+  grown = {};
+  importance_ = normalised_importance(tree_importance, num_features_);
 
   oob_mse_.reset();
   if (opts_.bootstrap && opts_.compute_oob) {
@@ -116,27 +145,19 @@ bool RandomForest::warm_fit(const RandomForest& prior, const Matrix& x,
   HPCP_REQUIRE(x.rows() == y.size(), "row count must match target length");
   if (!prior.fitted() || x.rows() == 0 ||
       prior.num_features_ != x.cols() ||
-      prior.trees_.size() != opts_.num_trees) {
+      prior.num_trees() != opts_.num_trees) {
     return false;
   }
-  // Route every row through every prior tree and recompute node values.
+  // Route every row through every prior tree and recompute leaf values.
   // Ensemble diversity is inherited from the prior structure (which came
   // from bootstrapped fits); the refit itself is a pure function of the
   // data, so it needs no RNG and stays thread-count invariant.
-  const std::size_t t = prior.trees_.size();
-  auto refits = parallel_map(
-      t,
-      [&](std::size_t i) { return prior.trees_[i].refit_leaves(x, y); },
-      pool);
-  for (const auto& refit : refits) {
-    if (!refit) return false;
-  }
+  auto refit = prior.flat_.refit_leaves(x, y, pool);
+  if (!refit) return false;
   obs::count("forest.warm_fits");
-  trees_.clear();
-  trees_.reserve(t);
-  for (auto& refit : refits) trees_.push_back(std::move(*refit));
+  flat_ = std::move(*refit);
+  importance_ = prior.importance_;
   num_features_ = x.cols();
-  flat_ = FlatForest::build(trees_);
   oob_mse_.reset();
   return true;
 }
@@ -169,45 +190,72 @@ RandomForest::PredictionStats RandomForest::predict_stats(
   double sum = 0.0;
   double sum_sq = 0.0;
   flat_.predict_moments(one_row(features), {&sum, 1}, {&sum_sq, 1});
-  const auto t = static_cast<double>(trees_.size());
+  const auto t = static_cast<double>(flat_.num_trees());
   const double mean = sum / t;
   const double var = std::max(0.0, sum_sq / t - mean * mean);
   return {.mean = mean, .stddev = std::sqrt(var)};
 }
 
-std::vector<double> RandomForest::feature_importance() const {
+const std::vector<double>& RandomForest::feature_importance() const {
   HPCP_REQUIRE(fitted(), "importance before fit");
-  std::vector<double> total(num_features_, 0.0);
-  for (const auto& tree : trees_) {
-    const auto& imp = tree.impurity_importance();
-    for (std::size_t f = 0; f < num_features_; ++f) total[f] += imp[f];
-  }
-  const double sum = std::accumulate(total.begin(), total.end(), 0.0);
-  if (sum > 0.0) {
-    for (auto& v : total) v /= sum;
-  }
-  return total;
+  return importance_;
 }
 
 void RandomForest::save(Serializer& out) const {
-  out.tag("forest");
+  out.tag("forest-flat");
   out.write(num_features_);
   out.write(oob_mse_.has_value());
   out.write(oob_mse_.value_or(0.0));
-  out.write(static_cast<std::size_t>(trees_.size()));
-  for (const auto& tree : trees_) tree.save(out);
+  out.write(importance_);
+  flat_.save(out);
 }
 
 RandomForest RandomForest::load(Deserializer& in) {
-  in.expect_tag("forest");
+  const std::string tag = in.read_string();
+  if (tag != "forest-flat" && tag != "forest") {
+    throw std::runtime_error(
+        "model archive corrupt: expected tag 'forest-flat', found '" + tag +
+        "'");
+  }
   RandomForest forest;
   forest.num_features_ = in.read_size();
   const bool has_oob = in.read_bool();
   const double oob = in.read_double();
   if (has_oob) forest.oob_mse_ = oob;
-  forest.trees_.resize(in.read_size());
-  for (auto& tree : forest.trees_) tree = RegressionTree::load(in);
-  forest.flat_ = FlatForest::build(forest.trees_);
+  if (tag == "forest-flat") {
+    forest.importance_ = in.read_doubles();
+    HPCP_REQUIRE(forest.importance_.size() == forest.num_features_,
+                 "forest importance width mismatch");
+    forest.flat_ = FlatForest::load(in, forest.num_features_);
+    return forest;
+  }
+  // The legacy "forest" tag: per tree, tag "tree", (left, right, feature,
+  // threshold, value) per pre-order node, then the tree's importances.
+  // Packed and summed as a fit does; the counts are untrusted, so nothing
+  // is sized from them.
+  const std::size_t count = in.read_size();
+  std::vector<std::vector<RegressionTree::Node>> trees;
+  std::vector<std::vector<double>> tree_importance;
+  for (std::size_t t = 0; t < count; ++t) {
+    in.expect_tag("tree");
+    std::vector<RegressionTree::Node>& nodes = trees.emplace_back();
+    const std::size_t size = in.read_size();
+    for (std::size_t i = 0; i < size; ++i) {
+      RegressionTree::Node& n = nodes.emplace_back();
+      n.left = static_cast<std::int32_t>(in.read_int());
+      n.right = static_cast<std::int32_t>(in.read_int());
+      n.feature = static_cast<std::int32_t>(in.read_int());
+      n.threshold = in.read_double();
+      n.value = in.read_double();
+    }
+    tree_importance.push_back(in.read_doubles());
+  }
+  forest.flat_ = FlatForest::build(trees);
+  HPCP_REQUIRE(forest.fitted() &&
+                   forest.flat_.min_feature_width() <= forest.num_features_,
+               "legacy forest: no trees, or a split feature out of range");
+  forest.importance_ =
+      normalised_importance(tree_importance, forest.num_features_);
   return forest;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/common/serialize.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/forest/flat_forest.hpp"
 #include "src/forest/tree.hpp"
@@ -15,10 +16,11 @@
 /// level learner.
 ///
 /// Training bins the feature columns once per fit and shares the bins
-/// across all trees (histogram split finding; see tree.hpp). After fitting,
-/// the ensemble is packed into a FlatForest and every prediction path —
-/// scalar, batched, ensemble statistics, and the out-of-bag pass — runs on
-/// the flattened structure-of-arrays layout.
+/// across all trees (histogram split finding; see tree.hpp). The grown
+/// trees are packed into a FlatForest and dropped: the flat arrays are the
+/// forest's only fitted form, and every prediction path (scalar, batched,
+/// ensemble statistics, the out-of-bag pass), the warm refit and the
+/// archive run on them.
 
 namespace hpcp {
 
@@ -47,7 +49,8 @@ class RandomForest {
            ThreadPool* pool = nullptr);
 
   /// Warm refit from a prior ensemble: keeps `prior`'s split structure and
-  /// recomputes every node value from (x, y) — no split search, no
+  /// recomputes every leaf value from (x, y) (FlatForest::refit_leaves) and
+  /// keeps the prior's feature importances — no split search, no
   /// bootstrap, no RNG, so the result is bitwise identical at any pool
   /// width. Returns false (leaving *this* untouched) when the prior does
   /// not match (unfitted, different feature width or tree count) or some
@@ -71,19 +74,16 @@ class RandomForest {
   [[nodiscard]] PredictionStats predict_stats(
       std::span<const double> features) const;
 
-  [[nodiscard]] bool fitted() const noexcept { return !trees_.empty(); }
-  [[nodiscard]] std::size_t num_trees() const noexcept { return trees_.size(); }
+  [[nodiscard]] bool fitted() const noexcept { return !flat_.empty(); }
+  [[nodiscard]] std::size_t num_trees() const noexcept {
+    return flat_.num_trees();
+  }
   /// Width of the feature vectors this forest was fitted on (persisted, so
   /// loaded models can validate query widths at a trust boundary).
   [[nodiscard]] std::size_t num_features() const noexcept {
     return num_features_;
   }
   [[nodiscard]] const ForestOptions& options() const noexcept { return opts_; }
-
-  /// One fitted tree (reference prediction path; the fast path is flat()).
-  [[nodiscard]] const RegressionTree& tree(std::size_t i) const {
-    return trees_.at(i);
-  }
 
   /// The flattened ensemble every prediction call runs on.
   [[nodiscard]] const FlatForest& flat() const noexcept { return flat_; }
@@ -94,20 +94,22 @@ class RandomForest {
     return oob_mse_;
   }
 
-  /// Impurity-based importance summed over trees, normalised to sum to 1
-  /// (all-zero if no splits were made).
-  [[nodiscard]] std::vector<double> feature_importance() const;
+  /// Impurity-based importance summed over trees in tree order at fit,
+  /// normalised to sum to 1 (all-zero if no splits were made).
+  [[nodiscard]] const std::vector<double>& feature_importance() const;
 
   /// Serialization of the fitted ensemble (fit-time options are not
   /// persisted; a loaded forest predicts but is not refittable-in-place).
+  /// save() writes the packed flat arrays behind the "forest-flat" tag;
+  /// load() also reads the per-tree records of the older "forest" tag.
   void save(Serializer& out) const;
   [[nodiscard]] static RandomForest load(Deserializer& in);
 
  private:
   ForestOptions opts_;
-  std::vector<RegressionTree> trees_;
   FlatForest flat_;
   std::optional<double> oob_mse_;
+  std::vector<double> importance_;
   std::size_t num_features_ = 0;
 };
 

@@ -398,38 +398,6 @@ std::vector<double> RegressionTree::predict(const Matrix& x) const {
   return out;
 }
 
-std::optional<RegressionTree> RegressionTree::refit_leaves(
-    const Matrix& x, std::span<const double> y) const {
-  HPCP_REQUIRE(fitted(), "refit before fit");
-  HPCP_REQUIRE(x.rows() == y.size(), "row count must match target length");
-  std::vector<double> sum(nodes_.size(), 0.0);
-  std::vector<std::size_t> count(nodes_.size(), 0);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto row = x.row(r);
-    std::size_t node = 0;
-    for (;;) {
-      sum[node] += y[r];
-      ++count[node];
-      const Node& cur = nodes_[node];
-      if (cur.left < 0) break;
-      HPCP_REQUIRE(static_cast<std::size_t>(cur.feature) < row.size(),
-                   "feature width mismatch");
-      node = static_cast<std::size_t>(
-          row[static_cast<std::size_t>(cur.feature)] <= cur.threshold
-              ? cur.left
-              : cur.right);
-    }
-  }
-  RegressionTree out = *this;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (out.nodes_[i].left < 0 && count[i] == 0) return std::nullopt;
-    if (count[i] > 0) {
-      out.nodes_[i].value = sum[i] / static_cast<double>(count[i]);
-    }
-  }
-  return out;
-}
-
 std::size_t RegressionTree::num_leaves() const noexcept {
   std::size_t count = 0;
   for (const auto& n : nodes_) count += n.left < 0 ? 1 : 0;
@@ -452,34 +420,6 @@ std::size_t RegressionTree::depth() const noexcept {
     }
   }
   return best;
-}
-
-void RegressionTree::save(Serializer& out) const {
-  out.tag("tree");
-  out.write(static_cast<std::size_t>(nodes_.size()));
-  for (const Node& n : nodes_) {
-    out.write(static_cast<std::int64_t>(n.left));
-    out.write(static_cast<std::int64_t>(n.right));
-    out.write(static_cast<std::int64_t>(n.feature));
-    out.write(n.threshold);
-    out.write(n.value);
-  }
-  out.write(importance_);
-}
-
-RegressionTree RegressionTree::load(Deserializer& in) {
-  in.expect_tag("tree");
-  RegressionTree tree;
-  tree.nodes_.resize(in.read_size());
-  for (Node& n : tree.nodes_) {
-    n.left = static_cast<std::int32_t>(in.read_int());
-    n.right = static_cast<std::int32_t>(in.read_int());
-    n.feature = static_cast<std::int32_t>(in.read_int());
-    n.threshold = in.read_double();
-    n.value = in.read_double();
-  }
-  tree.importance_ = in.read_doubles();
-  return tree;
 }
 
 }  // namespace hpcp

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/common/serialize.hpp"
 #include "src/forest/binning.hpp"
 #include "src/linear/matrix.hpp"
 
@@ -25,6 +23,12 @@
 /// SplitMode::kAuto (default) picks histogram for nodes larger than
 /// `exact_cutoff` and falls back to the exact scan below it, so tiny HPC
 /// histories keep exact splits while large fits get the fast path.
+///
+/// A RegressionTree is a fit-time builder: RandomForest and
+/// GradientBoostedTrees grow trees, pack them into a FlatForest (the one
+/// fitted form, which every predict runs on and the archive stores) and
+/// drop them. Its own predict is the per-node reference walk the flat
+/// kernels are tested against.
 
 namespace hpcp {
 
@@ -78,14 +82,6 @@ class RegressionTree {
   [[nodiscard]] double predict(std::span<const double> features) const;
   [[nodiscard]] std::vector<double> predict(const Matrix& x) const;
 
-  /// Warm refit: a copy of this tree with the split structure kept and
-  /// every node value recomputed as the mean target of the (x, y) rows
-  /// routed to it. No split search, no RNG — bitwise deterministic. Returns
-  /// nullopt when some leaf receives no rows (the prior structure no longer
-  /// covers the data and the caller should fall back to a cold fit).
-  [[nodiscard]] std::optional<RegressionTree> refit_leaves(
-      const Matrix& x, std::span<const double> y) const;
-
   [[nodiscard]] bool fitted() const noexcept { return !nodes_.empty(); }
   [[nodiscard]] std::size_t num_nodes() const noexcept { return nodes_.size(); }
   [[nodiscard]] std::size_t num_leaves() const noexcept;
@@ -101,10 +97,6 @@ class RegressionTree {
   [[nodiscard]] const std::vector<double>& impurity_importance() const noexcept {
     return importance_;
   }
-
-  /// Serialization of the fitted structure.
-  void save(Serializer& out) const;
-  [[nodiscard]] static RegressionTree load(Deserializer& in);
 
  private:
   std::vector<Node> nodes_;

@@ -37,8 +37,9 @@
 ///     buffered without limit) and hands a window over as soon as nothing
 ///     more is buffered (checked after every line, blank ones included),
 ///     at EOF, or at `batch_max` non-blank lines — so an interactive client
-///     never waits on a timer. A synced std::cin reports nothing buffered
-///     on piped input, so CLI stdio windows hold one line each;
+///     never waits on a timer. The CLI unsyncs its standard streams (a
+///     std::cin synced with C stdio reports nothing buffered after every
+///     piped line), so a piped burst forms one window;
 ///   - handle_line() is a window of one line.
 /// Inside a window, micro-batches of up to `batch_max` lines resolve cache
 /// hits, run the misses through one batched

@@ -139,8 +139,11 @@ TEST(Persistence, ForestPredictionsIdenticalAfterRoundTrip) {
   const std::string bytes = encode([&](Serializer& s) { forest.save(s); });
   Deserializer d = reader(bytes);
   const RandomForest back = RandomForest::load(d);
+  EXPECT_EQ(d.consumed(), bytes.size());
   EXPECT_EQ(back.num_trees(), forest.num_trees());
   EXPECT_EQ(back.oob_mse(), forest.oob_mse());
+  EXPECT_EQ(back.feature_importance(), forest.feature_importance());
+  EXPECT_EQ(encode([&](Serializer& s) { back.save(s); }), bytes);
   for (std::size_t i = 0; i < exp.test.size(); ++i) {
     EXPECT_EQ(back.predict(exp.test.configs.row(i)),
               forest.predict(exp.test.configs.row(i)));

@@ -149,6 +149,34 @@ TEST(Forest, FeatureImportanceNormalised) {
   EXPECT_GT(imp[0], imp[2]);
 }
 
+TEST(Forest, WarmFitRefitsLeavesAndKeepsImportance) {
+  const auto data = make_data(200, 0.1, 21);
+  RandomForest prior({.num_trees = 15});
+  Rng rng(22);
+  prior.fit(data.x, data.y, rng);
+  std::vector<double> y = data.y;
+  for (auto& v : y) v = 3.0 * v - 1.0;
+
+  RandomForest warm({.num_trees = 15});
+  ASSERT_TRUE(warm.warm_fit(prior, data.x, y));
+  EXPECT_EQ(warm.feature_importance(), prior.feature_importance());
+  EXPECT_FALSE(warm.oob_mse().has_value());
+  // Same structure, leaves refit on the new targets.
+  const auto refit = prior.flat().refit_leaves(data.x, y);
+  ASSERT_TRUE(refit.has_value());
+  EXPECT_EQ(warm.predict(data.x), refit->predict_mean(data.x));
+  EXPECT_LT(rmse(y, warm.predict(data.x)), rmse(y, prior.predict(data.x)));
+
+  // Two rows leave some leaf empty, and a tree-count mismatch is no prior
+  // at all: each declines and leaves the forest as it was.
+  const Matrix two = data.x.select_rows(std::vector<std::size_t>{0, 1});
+  EXPECT_FALSE(warm.warm_fit(prior, two, std::vector<double>{1.0, 2.0}));
+  RandomForest other_count({.num_trees = 14});
+  EXPECT_FALSE(other_count.warm_fit(prior, data.x, y));
+  EXPECT_FALSE(other_count.fitted());
+  EXPECT_EQ(warm.predict(data.x), refit->predict_mean(data.x));
+}
+
 TEST(Forest, PredictBeforeFitThrows) {
   const RandomForest forest;
   const std::vector<double> x{1.0};

@@ -228,7 +228,7 @@ TEST(ForestIsa, DeepAndStumpyShapesParity) {
   trees.push_back(deep_chain(24, 3));
   trees.push_back({leaf(7.5)});                        // single-leaf tree
   trees.push_back({split(0, 0.0, 1, 2), leaf(-1.0), leaf(1.0)});  // stump
-  const FlatForest flat = FlatForest::from_nodes(trees);
+  const FlatForest flat = FlatForest::build(trees);
   Rng rng(93);
   // Row counts around the SIMD block width: 1..9 covers every tail shape
   // of the 2-lane and 4-lane kernels.
@@ -244,7 +244,7 @@ TEST(ForestIsa, NanThresholdsAndNanFeaturesParity) {
   for (int t = 0; t < 6; ++t) {
     trees.push_back(random_tree(rng, 8, 5, /*nan_p=*/0.2));
   }
-  const FlatForest flat = FlatForest::from_nodes(trees);
+  const FlatForest flat = FlatForest::build(trees);
   // NaN thresholds in the trees AND NaN values in the rows: both must
   // send rows right under scalar `<=` and SIMD `_CMP_LE_OQ` alike.
   const Matrix x = random_matrix(rng, 50, 5, 0.15);
@@ -260,7 +260,7 @@ TEST(ForestIsa, RaggedWidthForestParity) {
   trees.push_back(random_tree(rng, 6, 1, 0.0));
   trees.push_back(random_tree(rng, 6, 3, 0.0));
   trees.push_back(random_tree(rng, 6, 7, 0.1));
-  const FlatForest flat = FlatForest::from_nodes(trees);
+  const FlatForest flat = FlatForest::build(trees);
   EXPECT_EQ(flat.min_feature_width(), 7u);
   const Matrix x = random_matrix(rng, 33, 7, 0.0);
   expect_bitwise_parity(flat, x);
@@ -322,7 +322,7 @@ FlatForest mixed_forest(Rng& rng, std::size_t trees, std::size_t features) {
         break;
     }
   }
-  return FlatForest::from_nodes(nodes);
+  return FlatForest::build(nodes);
 }
 
 TEST(ForestIsa, SlotWalkMatchesPerTreeReferenceForSmallWindows) {
@@ -353,16 +353,65 @@ TEST(ForestIsa, SlotWalkParityOnBothSidesOfTheBlockRule) {
 TEST(ForestIsa, MalformedTreesAreRejectedNotTraversed) {
   // Out-of-range child link.
   std::vector<Nodes> bad_link{{split(0, 0.5, 1, 99), leaf(1.0), leaf(2.0)}};
-  EXPECT_THROW((void)FlatForest::from_nodes(bad_link),
+  EXPECT_THROW((void)FlatForest::build(bad_link),
                std::invalid_argument);
   // A cycle: the node links to itself.
   std::vector<Nodes> cycle{{split(0, 0.5, 0, 1), leaf(1.0)}};
-  EXPECT_THROW((void)FlatForest::from_nodes(cycle), std::invalid_argument);
+  EXPECT_THROW((void)FlatForest::build(cycle), std::invalid_argument);
   // Internal node with a negative feature.
   std::vector<Nodes> bad_feature{
       {split(-2, 0.5, 1, 2), leaf(1.0), leaf(2.0)}};
-  EXPECT_THROW((void)FlatForest::from_nodes(bad_feature),
+  EXPECT_THROW((void)FlatForest::build(bad_feature),
                std::invalid_argument);
+}
+
+TEST(ForestIsa, MalformedPackedArraysAreRejectedNotTraversed) {
+  // Two packed trees over 3 features, as the archive stores them: a stump
+  // (nodes 0-2) and a chain (nodes 3-9; internal nodes 3, 4 and 6).
+  const FlatForest good = FlatForest::build(std::vector<Nodes>{
+      {split(0, 0.0, 1, 2), leaf(-1.0), leaf(1.0)}, deep_chain(3, 3)});
+  const auto nodes = good.nodes();
+  const auto roots = good.roots();
+  ASSERT_EQ(roots, (std::vector<std::int32_t>{0, 3, 10}));
+  const auto adopt = [&](std::vector<FlatForest::Node> n,
+                         std::vector<std::int32_t> r) {
+    return FlatForest::from_packed(std::move(n), std::move(r), 3);
+  };
+
+  // The untouched arrays adopt and predict like the built forest.
+  Rng rng(98);
+  const Matrix x = random_matrix(rng, 17, 3, 0.1);
+  const FlatForest same = adopt(nodes, roots);
+  const auto want = good.predict_mean(x);
+  const auto got = same.predict_mean(x);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    ASSERT_EQ(bits(got[r]), bits(want[r])) << "row " << r;
+  }
+
+  // A backward (or self) link: the walk would cycle.
+  auto backward = nodes;
+  backward[3].left = 3;
+  EXPECT_THROW((void)adopt(backward, roots), std::invalid_argument);
+  auto behind = nodes;
+  behind[6].left = 5;
+  EXPECT_THROW((void)adopt(behind, roots), std::invalid_argument);
+  // left + 1 past the end of its tree (into the next tree, or the array).
+  auto spill = nodes;
+  spill[0].left = 2;
+  EXPECT_THROW((void)adopt(spill, roots), std::invalid_argument);
+  auto past_end = nodes;
+  past_end[3].left = 9;
+  EXPECT_THROW((void)adopt(past_end, roots), std::invalid_argument);
+  // A split feature the archived width does not have.
+  auto wide = nodes;
+  wide[0].feature = 3;
+  EXPECT_THROW((void)adopt(wide, roots), std::invalid_argument);
+  // Roots that do not ascend, do not start at 0, or miss the node count.
+  EXPECT_THROW((void)adopt(nodes, {0, 3, 3, 10}), std::invalid_argument);
+  EXPECT_THROW((void)adopt(nodes, {0, 7, 3, 10}), std::invalid_argument);
+  EXPECT_THROW((void)adopt(nodes, {1, 3, 10}), std::invalid_argument);
+  EXPECT_THROW((void)adopt(nodes, {0, 3, 9}), std::invalid_argument);
+  EXPECT_THROW((void)adopt(nodes, {0}), std::invalid_argument);
 }
 
 }  // namespace

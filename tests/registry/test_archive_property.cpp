@@ -246,6 +246,32 @@ TEST(ArchiveProperty, GarbageAndShortFilesAreTypedErrors) {
   EXPECT_EQ(archive.error().code, ErrorCode::BadData);
 }
 
+std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+// Header 24 B, then 40 B per section; "model" is the second entry.
+constexpr std::size_t kModelEntry = 24 + 40;
+
+std::size_t model_offset(const std::string& bytes) {
+  return u64_at(bytes, kModelEntry + 16);
+}
+
+/// Rewrites the model section's table checksum to match its (edited)
+/// payload, so only the parser can object to the edit.
+void reseal_model_section(std::string& bytes) {
+  const std::size_t offset = model_offset(bytes);
+  const std::size_t size = u64_at(bytes, kModelEntry + 24);
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (std::size_t i = offset; i < offset + size; ++i) {
+    fnv ^= static_cast<unsigned char>(bytes[i]);
+    fnv *= 0x100000001b3ULL;
+  }
+  std::memcpy(bytes.data() + kModelEntry + 32, &fnv, sizeof(fnv));
+}
+
 TEST(ArchiveProperty, UnknownModelVersionIsATypedError) {
   // A well-formed archive whose model section carries another format
   // version (re-checksummed, so only the parser can object).
@@ -254,24 +280,11 @@ TEST(ArchiveProperty, UnknownModelVersionIsATypedError) {
   const std::string path = temp_path("prop_version.hpcp");
   ASSERT_TRUE(write_model_archive(path, model, {}).has_value());
   std::string bytes = read_file(path);
-  const auto u64_at = [&](std::size_t at) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + at, sizeof(v));
-    return v;
-  };
-  // Header 24 B, then 40 B per section; "model" is the second entry.
-  const std::size_t entry = 24 + 40;
-  const std::size_t offset = u64_at(entry + 16);
-  const std::size_t size = u64_at(entry + 24);
+  const std::size_t offset = model_offset(bytes);
   const std::string tag = "hpcpredict-two-level-v1";
   ASSERT_EQ(bytes.substr(offset + 8, tag.size()), tag);
   bytes[offset + 8 + tag.size() - 1] = '9';
-  std::uint64_t fnv = 0xcbf29ce484222325ULL;
-  for (std::size_t i = offset; i < offset + size; ++i) {
-    fnv ^= static_cast<unsigned char>(bytes[i]);
-    fnv *= 0x100000001b3ULL;
-  }
-  std::memcpy(bytes.data() + entry + 32, &fnv, sizeof(fnv));
+  reseal_model_section(bytes);
   write_file(path, bytes);
 
   const auto archive = ModelArchive::open(path);
@@ -281,6 +294,70 @@ TEST(ArchiveProperty, UnknownModelVersionIsATypedError) {
   EXPECT_EQ(loaded.error().code, ErrorCode::BadData);
   EXPECT_NE(loaded.error().message.find("expected tag"), std::string::npos)
       << loaded.error().message;
+}
+
+TEST(ArchiveProperty, MalformedForestArraysAreATypedError) {
+  // The first forest's packed arrays, edited in place and re-checksummed:
+  // each edit is one the loader must catch before any walk starts.
+  const ExtrapolationProblem problem = random_problem(5);
+  const TwoLevelModel model = fit_model(problem, 5);
+  const std::string path = temp_path("prop_forest.hpcp");
+  ASSERT_TRUE(write_model_archive(path, model, {}).has_value());
+  const std::string clean = read_file(path);
+  const std::string tag = "forest-flat";
+  const std::size_t tag_at = clean.find(tag, model_offset(clean));
+  ASSERT_NE(tag_at, std::string::npos);
+  // Tag, num_features, has_oob, oob, importances, then the flat blocks:
+  // roots (u64), thresholds (double), one link word per node (u64: the
+  // feature in the low 32 bits, the left index in the high 32).
+  std::size_t pos = tag_at + tag.size();
+  const std::uint64_t num_features = u64_at(clean, pos);
+  pos += 8 + 1 + 8;
+  pos += 8 + 8 * u64_at(clean, pos);
+  const std::size_t roots_at = pos + 8;
+  pos += 8 + 8 * u64_at(clean, pos);
+  const std::uint64_t nodes = u64_at(clean, pos);
+  pos += 8 + 8 * nodes;
+  ASSERT_EQ(u64_at(clean, pos), nodes);
+  const std::size_t feature_at = pos + 8;  // node 0's link word
+  const std::size_t left_at = feature_at + 4;
+  const auto i32_at = [&](std::size_t at) {
+    std::int32_t v = 0;
+    std::memcpy(&v, clean.data() + at, sizeof(v));
+    return v;
+  };
+  ASSERT_GE(i32_at(feature_at), 0) << "tree 0's root should split";
+  ASSERT_EQ(i32_at(left_at), 1);
+
+  const auto put_i32 = [](std::string& bytes, std::size_t at,
+                          std::int32_t v) {
+    std::memcpy(bytes.data() + at, &v, sizeof(v));
+  };
+  const struct {
+    const char* what;
+    std::size_t at;
+    std::int32_t value;
+  } edits[] = {
+      {"feature >= num_features", feature_at,
+       static_cast<std::int32_t>(num_features)},
+      {"backward left link", left_at, 0},
+      {"left + 1 past the tree", left_at, static_cast<std::int32_t>(nodes)},
+      {"non-ascending roots", roots_at + 8, 0},
+  };
+  for (const auto& edit : edits) {
+    std::string bytes = clean;
+    put_i32(bytes, edit.at, edit.value);
+    reseal_model_section(bytes);
+    write_file(path, bytes);
+    const auto archive = ModelArchive::open(path);
+    ASSERT_TRUE(archive.has_value()) << archive.error().to_string();
+    const auto loaded = archive->load_model();
+    ASSERT_FALSE(loaded.has_value()) << edit.what;
+    EXPECT_EQ(loaded.error().code, ErrorCode::BadData) << edit.what;
+    EXPECT_NE(loaded.error().message.find("packed forest"),
+              std::string::npos)
+        << edit.what << ": " << loaded.error().message;
+  }
 }
 
 TEST(ArchiveProperty, MissingFileIsIoError) {

@@ -1,15 +1,21 @@
 /// Golden regression tests pinning the registry store format as a
-/// compatibility surface: a tiny two-tenant store committed under
-/// tests/golden/registry_v1/ must keep opening — manifest bytes, archive
-/// section layout (names, offsets, sizes, checksums), and the archived
-/// models' predictions (to 1e-9) are all pinned. A serializer or archive
-/// layout change that silently breaks already-published stores fails here
-/// instead of in a customer's model directory.
+/// compatibility surface. Two tiny two-tenant stores are committed, and
+/// each must keep opening — manifest bytes, archive section layout (names,
+/// offsets, sizes, checksums), and the archived models' predictions (to
+/// 1e-9) are all pinned:
+///   - tests/golden/registry_v1/ holds forests as per-tree node records
+///     (the "forest" tag). It is a read-only fixture for the legacy
+///     decoder and is never re-blessed;
+///   - tests/golden/registry_v2/ holds forests as packed flat arrays (the
+///     "forest-flat" tag), the format every writer produces today.
+/// A serializer or archive layout change that silently breaks
+/// already-published stores fails here instead of in a customer's model
+/// directory.
 ///
-/// To *intentionally* re-bless after a deliberate format change (the
-/// workflow in EXPERIMENTS.md):
+/// To *intentionally* re-bless the current store after a deliberate format
+/// change (the workflow in EXPERIMENTS.md):
 ///   HPCP_BLESS_GOLDEN=1 ./build/tests/test_registry_golden
-/// then commit the rewritten tests/golden/registry_v1/ tree with an
+/// then commit the rewritten tests/golden/registry_v2/ tree with an
 /// explanation — old stores will need re-publishing.
 
 #include <gtest/gtest.h>
@@ -23,6 +29,7 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/common/serialize.hpp"
 #include "src/core/problem.hpp"
 #include "src/core/two_level_model.hpp"
 #include "src/obs/jsonlite.hpp"
@@ -34,13 +41,24 @@ namespace {
 
 constexpr double kTolerance = 1e-9;
 constexpr const char* kGoldenTenants[] = {"default", "alt"};
+/// Read-only fixture: forests archived as per-tree node records.
+constexpr const char* kLegacyStore = "registry_v1";
+/// What HPCP_BLESS_GOLDEN rewrites: forests archived as packed arrays.
+constexpr const char* kCurrentStore = "registry_v2";
 
-std::string store_root() {
-  return std::string(HPCP_GOLDEN_DIR) + "/registry_v1";
+std::string store_root(const std::string& store) {
+  return std::string(HPCP_GOLDEN_DIR) + "/" + store;
 }
 
-std::string predictions_path() {
-  return store_root() + "/predictions.json";
+std::string predictions_path(const std::string& store) {
+  return store_root(store) + "/predictions.json";
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 bool bless_mode() { return std::getenv("HPCP_BLESS_GOLDEN") != nullptr; }
@@ -100,8 +118,9 @@ std::vector<double> probe_predictions(const TwoLevelModel& model,
 }
 
 void bless_store() {
-  std::filesystem::remove_all(store_root());
-  auto reg = Registry::open(store_root()).value_or_throw();
+  const std::string root = store_root(kCurrentStore);
+  std::filesystem::remove_all(root);
+  auto reg = Registry::open(root).value_or_throw();
   std::ostringstream json;
   json << std::setprecision(17);
   json << "{\n  \"schema\": \"hpcp-golden-registry/1\",\n  \"tenants\": [\n";
@@ -133,19 +152,17 @@ void bless_store() {
     json << "]}";
   }
   json << "\n  ]\n}\n";
-  std::ofstream out(predictions_path());
-  ASSERT_TRUE(out) << predictions_path();
+  std::ofstream out(predictions_path(kCurrentStore));
+  ASSERT_TRUE(out) << predictions_path(kCurrentStore);
   out << json.str();
 }
 
-TEST(GoldenRegistry, CommittedStoreStaysReadable) {
-  if (bless_mode()) {
-    bless_store();
-    GTEST_SKIP() << "blessed " << store_root();
-  }
-
+/// The pins every committed store must keep: manifest bytes, section
+/// layout, and predictions as blessed.
+void expect_store_readable(const std::string& store) {
+  SCOPED_TRACE(store);
   // The committed manifest is byte-stable (deterministic writer).
-  auto reg = Registry::open(store_root()).value_or_throw();
+  auto reg = Registry::open(store_root(store)).value_or_throw();
   std::ifstream manifest(reg.manifest_path());
   ASSERT_TRUE(manifest) << "missing golden store — generate it with "
                            "HPCP_BLESS_GOLDEN=1";
@@ -156,8 +173,8 @@ TEST(GoldenRegistry, CommittedStoreStaysReadable) {
             "\"alt\":{\"latest\":1,\"versions\":[1]},"
             "\"default\":{\"latest\":1,\"versions\":[1]}}}\n");
 
-  std::ifstream golden(predictions_path());
-  ASSERT_TRUE(golden) << "missing " << predictions_path();
+  std::ifstream golden(predictions_path(store));
+  ASSERT_TRUE(golden) << "missing " << predictions_path(store);
   std::stringstream buf;
   buf << golden.rdbuf();
   const auto doc = obs::parse_json(buf.str());
@@ -207,25 +224,68 @@ TEST(GoldenRegistry, CommittedStoreStaysReadable) {
   }
 }
 
+TEST(GoldenRegistry, CommittedStoreStaysReadable) {
+  // The legacy store is read-only: bless mode checks it like any run.
+  expect_store_readable(kLegacyStore);
+}
+
+TEST(GoldenRegistry, BlessedStoreStaysReadable) {
+  if (bless_mode()) {
+    bless_store();
+    GTEST_SKIP() << "blessed " << store_root(kCurrentStore);
+  }
+  expect_store_readable(kCurrentStore);
+}
+
+/// Both stores hold the same fits, so the legacy decoder and the packed
+/// reader must rebuild the same model: re-saved, each gives the bytes a
+/// fresh fit writes, and both archives carry the same manifest.
+TEST(GoldenRegistry, LegacyAndCurrentStoresLoadTheSameModel) {
+  if (bless_mode()) GTEST_SKIP() << "bless handled by BlessedStoreStaysReadable";
+  const auto saved = [](const TwoLevelModel& model) {
+    std::ostringstream out(std::ios::binary);
+    Serializer s(out);
+    model.save(s);
+    return out.str();
+  };
+  EXPECT_EQ(read_text(store_root(kLegacyStore) + "/MANIFEST.json"),
+            read_text(store_root(kCurrentStore) + "/MANIFEST.json"));
+  for (const char* tenant : kGoldenTenants) {
+    const std::string fresh = saved(golden_model(tenant_seed(tenant)));
+    for (const char* store : {kLegacyStore, kCurrentStore}) {
+      const auto archive = ModelArchive::open(
+          store_root(store) + "/" + tenant + "/1.hpcp");
+      ASSERT_TRUE(archive.has_value()) << store << "/" << tenant;
+      const auto model = archive->load_model();
+      ASSERT_TRUE(model.has_value())
+          << store << "/" << tenant << ": " << model.error().to_string();
+      EXPECT_EQ(saved(*model), fresh) << store << "/" << tenant;
+    }
+  }
+}
+
 /// A freshly fit model must still produce the committed predictions: the
 /// training pipeline itself is deterministic across releases, so the
 /// committed archive and a from-scratch refit agree to tolerance.
 TEST(GoldenRegistry, RefitReproducesCommittedPredictions) {
-  if (bless_mode()) GTEST_SKIP() << "bless handled by CommittedStoreStaysReadable";
-  std::ifstream golden(predictions_path());
-  ASSERT_TRUE(golden) << "missing " << predictions_path();
-  std::stringstream buf;
-  buf << golden.rdbuf();
-  const auto doc = obs::parse_json(buf.str());
-  for (const auto& entry : doc.at("tenants").as_array()) {
-    const std::string tenant = entry.at("tenant").as_string();
-    const std::uint64_t seed = tenant_seed(tenant);
-    const auto preds = probe_predictions(golden_model(seed), seed);
-    const auto& golden_preds = entry.at("predictions").as_array();
-    ASSERT_EQ(preds.size(), golden_preds.size()) << tenant;
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      EXPECT_NEAR(preds[i], golden_preds[i].as_number(), kTolerance)
-          << tenant << " refit prediction " << i;
+  if (bless_mode()) GTEST_SKIP() << "bless handled by BlessedStoreStaysReadable";
+  for (const char* store : {kLegacyStore, kCurrentStore}) {
+    SCOPED_TRACE(store);
+    std::ifstream golden(predictions_path(store));
+    ASSERT_TRUE(golden) << "missing " << predictions_path(store);
+    std::stringstream buf;
+    buf << golden.rdbuf();
+    const auto doc = obs::parse_json(buf.str());
+    for (const auto& entry : doc.at("tenants").as_array()) {
+      const std::string tenant = entry.at("tenant").as_string();
+      const std::uint64_t seed = tenant_seed(tenant);
+      const auto preds = probe_predictions(golden_model(seed), seed);
+      const auto& golden_preds = entry.at("predictions").as_array();
+      ASSERT_EQ(preds.size(), golden_preds.size()) << tenant;
+      for (std::size_t i = 0; i < preds.size(); ++i) {
+        EXPECT_NEAR(preds[i], golden_preds[i].as_number(), kTolerance)
+            << tenant << " refit prediction " << i;
+      }
     }
   }
 }

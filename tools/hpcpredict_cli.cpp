@@ -599,6 +599,11 @@ void print_usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Unsynced standard streams own their buffers. `serve --stdio` needs
+  // that: a synced std::cin reports nothing buffered (in_avail() == 0)
+  // after every line, so each piped line would close its own window and
+  // a burst would never share a micro-batch. Must precede any I/O.
+  std::ios::sync_with_stdio(false);
   if (argc < 2) {
     print_usage();
     return 2;
